@@ -12,6 +12,7 @@ declare a grid for the ``sweep`` command and are returned separately.
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 RECEIVERS = ("proposed", "bench-data-aided", "bench-pilot-aided")
@@ -75,6 +76,8 @@ def _parse_snr_grid(raw: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ConfigError(f"snr_grid_db range must be start:step:stop, got {raw!r}")
         start, step, stop = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (start, step, stop)):
+            raise ConfigError(f"snr_grid_db range must be finite, got {raw!r}")
         if step <= 0:
             raise ConfigError("snr_grid_db range step must be positive")
         grid = []
@@ -183,6 +186,13 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             raise ConfigError("physical inner model requires spacing > 0")
         if cfg.alpha < 0:
             raise ConfigError("physical inner model requires alpha >= 0")
+    if not all(math.isfinite(v) for v in cfg.snr_grid_db):
+        # add_noise would run an infinite SNR noise-free and a NaN one with
+        # NaN noise; the noise-free point is selected by ``noiseless``.
+        raise ConfigError(
+            "snr_grid_db entries must be finite; use noiseless = true "
+            "for the noise-free point"
+        )
     if not cfg.noiseless and len(cfg.snr_grid_db) == 0:
         raise ConfigError("snr_grid_db must not be empty for a noisy campaign")
     if cfg.P < cfg.N:

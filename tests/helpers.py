@@ -88,3 +88,40 @@ def relerr(est: np.ndarray, ref: np.ndarray) -> float:
     if denom == 0.0:
         return float(np.linalg.norm(est))
     return float(np.linalg.norm(est - ref) / denom)
+
+
+def bals_pinv_oracle(
+    y: np.ndarray,
+    f: np.ndarray,
+    x0: np.ndarray,
+    max_iters: int = 1000,
+    tol: float = 1e-6,
+    rcond: float = 1e-12,
+    eps_floor: float = 1e-12,
+) -> tuple[np.ndarray, np.ndarray, list[float], bool]:
+    """Alternating least squares written as the textbook pseudo-inverse
+    updates ``H = Y1 @ pinv(KR(F, X).T)`` and ``X = Y2 @ pinv(KR(F, H).T)``,
+    with the unfoldings and Khatri-Rao products built by the loop oracles
+    above, and the same stopping rule as ``receiver.bals``.
+
+    Returns (h_hat, x_hat, residual trace, converged).
+    """
+    y1 = unfold1_oracle(y)
+    y2 = unfold2_oracle(y)
+    ynorm = np.linalg.norm(y)
+    x_hat = np.array(x0, dtype=complex)
+    h_hat = np.zeros((y.shape[0], f.shape[1]), dtype=complex)
+    residuals: list[float] = []
+    prev = None
+    for _ in range(max_iters):
+        h_hat = y1 @ np.linalg.pinv(khatri_rao_oracle(f, x_hat).T, rcond=rcond)
+        b = khatri_rao_oracle(f, h_hat)
+        x_hat = y2 @ np.linalg.pinv(b.T, rcond=rcond)
+        eps = float(np.linalg.norm(y2 - x_hat @ b.T) / ynorm)
+        residuals.append(eps)
+        if eps <= eps_floor:
+            return h_hat, x_hat, residuals, True
+        if prev is not None and (prev <= eps_floor or abs(eps - prev) / prev <= tol):
+            return h_hat, x_hat, residuals, True
+        prev = eps
+    return h_hat, x_hat, residuals, False

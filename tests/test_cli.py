@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import dmasim
 from dmasim.cli import EXIT_CONFIG, EXIT_IO, main
 
 
@@ -129,3 +133,20 @@ def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     captured = capsys.readouterr()
     assert "all checks passed" in captured.out
+
+
+def test_import_leaves_scipy_unloaded():
+    # Importing scipy.linalg costs 0.28-0.35 s on top of numpy on a 2-vCPU
+    # machine, more than a whole campaign set-up (about 0.2 s there), so the
+    # package keeps to numpy.linalg.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(dmasim.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    probe = "import sys, dmasim, dmasim.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -92,6 +92,10 @@ def test_parser_rejects_malformed_lines(line):
         {"receiver": "bench-data-aided", "training": "lorentzian"},
         {"inner_model": "physical", "spacing": 0.0},
         {"snr_grid_db": ()},
+        {"snr_grid_db": (0.0, float("-inf"))},
+        {"snr_grid_db": (float("inf"),)},
+        {"snr_grid_db": (10.0, float("nan"))},
+        {"snr_grid_db": (float("inf"),), "noiseless": True},
     ],
 )
 def test_validate_rejects_bad_configs(override):
@@ -119,3 +123,14 @@ def test_load_config_file(tmp_path):
     assert cfg.trials == 3
     assert cfg.seed == 5
     assert sweeps == {}
+
+
+@pytest.mark.parametrize("grid", ["-inf", "0:5:inf", "-inf:5:0", "0:nan:10"])
+def test_load_config_file_rejects_non_finite_snr(tmp_path, grid):
+    # Non-finite SNRs used to be accepted: -inf/inf ran noise-free, nan failed
+    # every trial, and a range reaching an infinity never stopped growing.
+    # Only ``noiseless = true`` selects the noise-free point.
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"snr_grid_db = {grid}\n", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_config_file(str(path))

@@ -9,6 +9,7 @@ from dmasim.channels import (
     gen_wireless,
     gen_inner_random_phase,
 )
+from dmasim import receiver
 from dmasim.metrics import diagonal_fit, nmse
 from dmasim.receiver import (
     BalsConfig,
@@ -20,7 +21,7 @@ from dmasim.receiver import (
     two_stage_estimate,
 )
 from dmasim.signals import add_noise, build_noiseless, build_rank_one
-from helpers import rand_cn, relerr
+from helpers import bals_pinv_oracle, khatri_rao_oracle, rand_cn, relerr
 
 
 def _scene(seed, k=4, t=8, p=12, n=6, order=16):
@@ -97,6 +98,77 @@ def test_bals_iteration_cap_is_respected():
     res = bals(rt.y, f, cfg=BalsConfig(max_iters=3, tol=0.0), rng=np.random.default_rng(8))
     assert len(res.residuals) == 3
     assert not res.converged
+
+
+def _count_pinv(monkeypatch):
+    """Record the pseudo-inverse fallbacks taken inside ``bals``."""
+    calls = []
+    original = receiver.pinv
+
+    def counting(a, rcond):
+        calls.append(a.shape)
+        return original(a, rcond)
+
+    monkeypatch.setattr(receiver, "pinv", counting)
+    return calls
+
+
+def _assert_matches_oracle(y, f, x0, **kw):
+    """Same iteration count, residual trace and fitted model as the pinv
+    reference ALS from the same start."""
+    res = bals(y, f, cfg=BalsConfig(init=x0, **kw))
+    h_ref, x_ref, trace_ref, conv_ref = bals_pinv_oracle(y, f, x0, **kw)
+    assert len(res.residuals) == len(trace_ref)
+    np.testing.assert_allclose(res.residuals, trace_ref, rtol=0, atol=1e-12)
+    assert res.converged == conv_ref
+    fit = res.h_hat @ khatri_rao_oracle(f, res.x_hat).T
+    assert relerr(fit, h_ref @ khatri_rao_oracle(f, x_ref).T) < 1e-9
+    return res
+
+
+@pytest.mark.parametrize("snr_db", [None, 0.0, 10.0, 30.0])
+@pytest.mark.parametrize("seed", [20, 21, 22])
+def test_bals_matches_the_pinv_reference(seed, snr_db, monkeypatch):
+    h, m, s, f, x = _scene(seed)
+    rt = add_noise(build_noiseless(h, x, f), snr_db, np.random.default_rng(seed + 100))
+    calls = _count_pinv(monkeypatch)
+    _assert_matches_oracle(rt.y, f, rand_cn(np.random.default_rng(seed + 200), 8, 6))
+    assert calls == []  # well-conditioned Grams never take the fallback
+
+
+def test_bals_matches_the_pinv_reference_at_desk_geometry(monkeypatch):
+    h, m, s, f, x = _scene(23, k=8, t=10, p=32, n=16, order=64)
+    rt = add_noise(build_noiseless(h, x, f), 0.0, np.random.default_rng(24))
+    calls = _count_pinv(monkeypatch)
+    _assert_matches_oracle(rt.y, f, rand_cn(np.random.default_rng(25), 10, 16))
+    assert calls == []
+
+
+def test_bals_rank_deficient_gram_takes_the_fallback(monkeypatch):
+    # P*T < N and P*K < N: both Grams have rank <= 4 < N = 6.  The training
+    # generators refuse P < N, so it is drawn directly.
+    h, m, s, _, x = _scene(26, k=2, t=2, n=6, order=4)
+    f = rand_cn(np.random.default_rng(26), 2, 6)
+    rt = add_noise(build_noiseless(h, x, f), 20.0, np.random.default_rng(27))
+    calls = _count_pinv(monkeypatch)
+    res = _assert_matches_oracle(
+        rt.y, f, rand_cn(np.random.default_rng(28), 2, 6), max_iters=20
+    )
+    assert len(calls) == 2 * len(res.residuals)
+
+
+def test_bals_equal_columns_take_the_fallback(monkeypatch):
+    # Equal init columns alone leave the Gram (F^T F*) o (X^T X*) positive
+    # definite (Schur product theorem); equal training columns as well make
+    # two columns of khatri_rao(F, X) identical, in both half-steps.
+    h, m, s, f, x = _scene(29)
+    f[:, 1] = f[:, 0]
+    rt = add_noise(build_noiseless(h, x, f), 10.0, np.random.default_rng(30))
+    x0 = rand_cn(np.random.default_rng(31), 8, 6)
+    x0[:, 1] = x0[:, 0]
+    calls = _count_pinv(monkeypatch)
+    res = _assert_matches_oracle(rt.y, f, x0, max_iters=50)
+    assert len(calls) == 2 * len(res.residuals)
 
 
 def test_rank1_factorize_exact_rank_one_block():
@@ -221,7 +293,14 @@ def test_two_stage_random_scenes_always_monotone_and_finite(seed):
 
 
 def test_flop_estimate_reference_point():
-    # P * N^2 * (K + 1) with the reference geometry.
-    assert flop_estimate(8, 10, 32, 16) == 32 * 16 * 16 * 9 == 73728
+    # Reference geometry K=8, T=10, P=32, N=16: Grams + triangular solves,
+    # two Choleskys, right-hand sides, explicit residual.
+    grams_and_solves = 2 * (8 + 10) * 16 * 16
+    choleskys = 16**3 // 3
+    rhs = 2 * 8 * 10 * 16
+    residual = 32 * 8 * 16 * (10 + 1)
+    assert flop_estimate(8, 10, 32, 16) == (
+        grams_and_solves + choleskys + rhs + residual
+    ) == 58197
     with pytest.raises(ValueError):
         flop_estimate(0, 1, 1, 1)
