@@ -53,6 +53,7 @@ _TAG_CHANNEL, _TAG_INNER, _TAG_SYMBOLS, _TAG_TRAINING, _TAG_NOISE, _TAG_INIT = r
 
 CSV_HEADER = "snr_db,nmse_H_db,nmse_m_db,ser,mean_iters,mean_runtime_s,trials,failed"
 CSV_SCHEMA = "dmasim-results-v1"
+SUMMARY_SCHEMA = "dmasim-summary-v2"
 NMSE_FIT_LABEL = "shared-diagonal"
 
 
@@ -275,13 +276,25 @@ def write_results_csv(
         fh.write(render_csv(rows, cfg))
 
 
+def _strict(value):
+    """``value`` with every non-finite float replaced by None, so the summary
+    is valid JSON (which has no NaN or Infinity) under strict parsers."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def summary_dict(rows: list[MetricRow], cfg: ExperimentConfig) -> dict:
-    cfg_dict = dataclasses.asdict(cfg)
-    cfg_dict["snr_grid_db"] = list(cfg.snr_grid_db)
-    return {
-        "format": "dmasim-summary-v1",
+    """The JSON summary; NaN (no survivors, no SER for pilots) and the
+    infinite SNR of a noiseless run are written as null."""
+    return _strict({
+        "format": SUMMARY_SCHEMA,
         "version": __version__,
-        "config": cfg_dict,
+        "config": dataclasses.asdict(cfg),
         "config_sha": config_sha(cfg),
         "seed": cfg.seed,
         "nmse_fit": NMSE_FIT_LABEL,
@@ -303,7 +316,7 @@ def summary_dict(rows: list[MetricRow], cfg: ExperimentConfig) -> dict:
             }
             for row in rows
         ],
-    }
+    })
 
 
 def _oracle_note(receiver: str) -> list[str]:
@@ -324,5 +337,7 @@ def write_summary_json(
     path: str, rows: list[MetricRow], cfg: ExperimentConfig
 ) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary_dict(rows, cfg), fh, indent=2, sort_keys=True)
+        json.dump(
+            summary_dict(rows, cfg), fh, indent=2, sort_keys=True, allow_nan=False
+        )
         fh.write("\n")

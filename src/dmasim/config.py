@@ -195,6 +195,11 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         )
     if not cfg.noiseless and len(cfg.snr_grid_db) == 0:
         raise ConfigError("snr_grid_db must not be empty for a noisy campaign")
+    if cfg.training == "semi-unitary-dft" and cfg.P < cfg.N:
+        # gen_dft_training cannot build it; every trial would raise.
+        raise ConfigError(
+            f"semi-unitary-dft training needs P >= N, got P={cfg.P} < N={cfg.N}"
+        )
     if cfg.P < cfg.N:
         warnings.append(
             f"P={cfg.P} < N={cfg.N}: training cannot reach full column rank; "

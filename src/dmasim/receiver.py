@@ -14,7 +14,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor_ops import NumericalError, khatri_rao, pinv, unfold_mode1, unfold_mode2
+from .tensor_ops import (
+    NumericalError,
+    khatri_rao,
+    parafac_build,
+    pinv,
+    unfold_mode1,
+    unfold_mode2,
+)
 
 
 class EstimationError(RuntimeError):
@@ -77,11 +84,13 @@ class EstimateReport:
 
 
 def _normal_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """``rhs @ inv(gram)`` for a Hermitian positive definite ``gram``,
-    through its Cholesky factor ``gram = L @ L^H``.
+    """``rhs @ inv(gram)`` for a Hermitian positive definite ``gram``.
 
-    Returns None when the factor does not exist or its diagonal shows the
-    Gram too ill-conditioned to trust (see ``CHOLESKY_DIAG_RATIO``).
+    The Cholesky factor ``gram = L @ L^H`` serves as the guard only: returns
+    None when it does not exist or its diagonal shows the Gram too
+    ill-conditioned to trust (see ``CHOLESKY_DIAG_RATIO``).  numpy has no
+    triangular solver, so one LU solve on the Gram is cheaper than two
+    general solves on the factor.
     """
     try:
         low = np.linalg.cholesky(gram)
@@ -90,9 +99,8 @@ def _normal_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     diag = low.diagonal().real
     if not diag.min() >= CHOLESKY_DIAG_RATIO * diag.max():  # NaN fails too
         return None
-    # A @ gram = rhs  <=>  L @ (L^H @ A^H) = rhs^H: two triangular solves.
-    w = np.linalg.solve(low, rhs.conj().T)
-    return np.linalg.solve(low.conj().T, w).conj().T
+    # A @ gram = rhs  <=>  gram @ A^H = rhs^H, as gram is Hermitian.
+    return np.linalg.solve(gram, rhs.conj().T).conj().T
 
 
 def bals(
@@ -103,9 +111,11 @@ def bals(
 ) -> BalsResult:
     """Alternating least-squares fit of (H, X) given the received block and F.
 
-    Each half-step solves its N x N normal equations through a Cholesky
+    Each half-step solves its N x N normal equations, guarded by a Cholesky
     factor, and falls back to ``Y_unfolded @ pinv(khatri_rao(...).T, rcond)``
-    when the Gram is not safely positive definite.
+    when the Gram is not safely positive definite.  After the per-trial
+    set-up the loop touches only N-dimensional data: the residual is taken
+    in the column space of F (see below).
 
     Parameters
     ----------
@@ -132,7 +142,6 @@ def bals(
     if f.ndim != 2 or f.shape[0] != p:
         raise ValueError(f"training matrix must have {p} rows, got {f.shape}")
     n = f.shape[1]
-    y2 = unfold_mode2(y)
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
         raise EstimationError("received block is identically zero")
@@ -153,6 +162,16 @@ def bals(
     # training enters each iteration only through these two per-trial terms.
     gf = f.T @ f.conj()
     yf = y @ f.conj()  # (K, T, N)
+    # The model's mode-3 fibres lie in the column space of F = Q R, so the
+    # residual splits into the part of Y outside it, fixed per trial, and
+    # an in-space part of dimension min(P, N):
+    #   ||Y - Y_hat||^2 = ||Y - Yq Q^T||^2 + ||Yq - parafac_build(H, X, R)||^2
+    # with Yq = Y Q*.  Both terms are explicit norms of differences: a Gram
+    # expansion would cancel catastrophically near an exact fit, where
+    # eps_floor has to see it.
+    q, r = np.linalg.qr(f)
+    yq = y @ q.conj()
+    perp2 = float(np.linalg.norm(y - yq @ q.T)) ** 2
     h_hat = np.zeros((k, n), dtype=complex)
     residuals: list[float] = []
     converged = False
@@ -165,20 +184,16 @@ def bals(
             )
             if h_hat is None:
                 h_hat = unfold_mode1(y) @ pinv(khatri_rao(f, x_hat).T, cfg.rcond)
-            b = khatri_rao(f, h_hat)
             x_hat = _normal_solve(
                 gf * (h_hat.T @ h_hat.conj()),
                 np.einsum("ktn,kn->tn", yf, h_hat.conj()),
             )
             if x_hat is None:
-                x_hat = y2 @ pinv(b.T, cfg.rcond)
+                x_hat = unfold_mode2(y) @ pinv(khatri_rao(f, h_hat).T, cfg.rcond)
         except NumericalError as exc:
             raise EstimationError(f"pseudo-inverse failed at iteration {it}: {exc}")
-        # ||Y - Y_hat||_F computed explicitly in the mode-2 layout (unfolding
-        # preserves the Frobenius norm; b already holds khatri_rao(f, h_hat)).
-        # Expanding it through the Grams would cancel catastrophically near
-        # an exact fit, where eps_floor has to see it.
-        eps = float(np.linalg.norm(y2 - x_hat @ b.T)) / ynorm
+        fit = parafac_build(h_hat, x_hat, r)
+        eps = np.sqrt(perp2 + float(np.linalg.norm(yq - fit)) ** 2) / ynorm
         if not np.isfinite(eps):
             raise EstimationError(f"non-finite residual at iteration {it}")
         residuals.append(eps)
@@ -294,16 +309,17 @@ def flop_estimate(k: int, t: int, p: int, n: int) -> int:
     the normal-equation path:
 
     * Grams ``X^T X*`` and ``H^T H*``: (k + t) * n^2
-    * two Cholesky factorisations: n^3 / 3
-    * two triangular solves per half-step: (k + t) * n^2
+    * two Cholesky factorisations (the conditioning guard): n^3 / 3
+    * two LU solves, factorisations and substitutions:
+      2 * n^3 / 3 + (k + t) * n^2
     * right-hand sides from the training-contracted data: 2 * k * t * n
-    * explicit residual, ``khatri_rao(F, H)`` then ``X @ (.)^T``:
-      p * k * n * (t + 1)
+    * compressed residual ``parafac_build(H, X, R)``, a Khatri-Rao product
+      then a product with R^T: k * t * n * (min(p, n) + 1)
 
-    The once-per-trial training terms ``F^T F*`` and ``Y F*``
-    (p * n * (n + k * t)) and the rare pseudo-inverse fallback are not
-    counted.
+    The once-per-trial terms ``F^T F*``, ``Y F*``, the QR of F, ``Y Q*``
+    and the out-of-space residual, and the rare pseudo-inverse fallback are
+    not counted.
     """
     if min(k, t, p, n) < 1:
         raise ValueError("all dimensions must be positive")
-    return 2 * (k + t) * n * n + n**3 // 3 + 2 * k * t * n + p * k * n * (t + 1)
+    return 2 * (k + t) * n * n + n**3 + 2 * k * t * n + k * t * n * (min(p, n) + 1)

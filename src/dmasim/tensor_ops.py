@@ -73,7 +73,11 @@ def parafac_build(h: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
             "factor column counts differ: "
             f"{h.shape[1]}, {x.shape[1]}, {f.shape[1]}"
         )
-    return np.einsum("kn,tn,pn->ktp", h, x, f, optimize=True)
+    # khatri_rao(h, x) @ f.T as one fixed contraction; an optimised einsum
+    # would search for a path on every call.
+    (k, n), t, p = h.shape, x.shape[0], f.shape[0]
+    kr = (h[:, None, :] * x[None, :, :]).reshape(k * t, n)
+    return (kr @ f.T).reshape(k, t, p)
 
 
 def pinv(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:

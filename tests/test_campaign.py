@@ -194,11 +194,11 @@ def test_summary_json_content(tmp_path):
     cfg = _tiny(receiver="bench-data-aided", training="semi-unitary-dft")
     rows = run_campaign(cfg)
     summary = summary_dict(rows, cfg)
-    assert summary["format"] == "dmasim-summary-v1"
+    assert summary["format"] == "dmasim-summary-v2"
     assert summary["seed"] == cfg.seed
     assert summary["nmse_fit"] == NMSE_FIT_LABEL
     assert summary["config"]["receiver"] == "bench-data-aided"
-    assert summary["per_iteration_flops"] == 58197
+    assert summary["per_iteration_flops"] == 37632
     assert summary["oracle_side_information"]  # benches must declare oracles
     assert summary["wall_clock_fields_nondeterministic"] == [
         "rows[].mean_runtime_s"
@@ -210,6 +210,39 @@ def test_summary_json_content(tmp_path):
     write_summary_json(str(path), rows, cfg)
     reread = json.loads(path.read_text(encoding="utf-8"))
     assert reread["config_sha"] == summary["config_sha"]
+
+
+def _strict_load(path):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
+@pytest.mark.parametrize(
+    "over, nulls",
+    [
+        # Noiseless: the single SNR point is +inf.
+        (dict(noiseless=True), ["snr_db"]),
+        # Pilot-aided: no symbols are detected, so the SER is NaN.
+        (dict(receiver="bench-pilot-aided", training="semi-unitary-dft"), ["ser"]),
+        # Every trial fails (P < N Lorentzian training): all means are NaN.
+        (
+            dict(P=8, trials=2),
+            ["nmse_H_db", "nmse_m_db", "ser", "mean_iters", "mean_runtime_s",
+             "converged_fraction"],
+        ),
+    ],
+)
+def test_summary_json_is_strict_json_with_nulls(tmp_path, over, nulls):
+    cfg = _tiny(**over)
+    rows = run_campaign(cfg, out_dir=str(tmp_path))
+    summary = _strict_load(tmp_path / "summary.json")
+    assert summary == summary_dict(rows, cfg)
+    for row in summary["rows"]:
+        for key in nulls:
+            assert row[key] is None
+        assert row["trials"] + row["failed"] == cfg.trials
 
 
 def test_proposed_campaign_declares_no_oracles():

@@ -95,6 +95,24 @@ def test_validate_rejects_bad_config(tmp_path, capsys):
     assert "trials" in err["detail"]
 
 
+def test_run_rejects_dft_training_shorter_than_n(tmp_path, capsys):
+    path = tmp_path / "short.cfg"
+    path.write_text(
+        TINY.replace("P = 8", "P = 2").replace(
+            "training = lorentzian", "training = semi-unitary-dft"
+        ),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = main(["run", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    err = json.loads(captured.err)
+    assert err["error"] == "config"
+    assert "P >= N" in err["detail"]
+    assert not out.exists()
+
+
 def test_unparseable_config_fails_with_config_code(tmp_path, capsys):
     path = tmp_path / "junk.cfg"
     path.write_text("what even is this\n", encoding="utf-8")

@@ -111,6 +111,19 @@ def test_validate_warns_on_rank_deficient_training():
     assert "full column rank" in warnings[0]
 
 
+def test_validate_rejects_dft_training_shorter_than_n():
+    # The semi-unitary DFT training cannot exist for P < N; it used to pass
+    # validation and then fail the campaign mid-run with a ValueError.
+    for receiver in ("proposed", "bench-data-aided", "bench-pilot-aided"):
+        cfg = dataclasses.replace(
+            ExperimentConfig(), P=8, training="semi-unitary-dft", receiver=receiver
+        )
+        with pytest.raises(ConfigError, match="P >= N"):
+            validate_config(cfg)
+    square = dataclasses.replace(ExperimentConfig(), P=16, training="semi-unitary-dft")
+    assert validate_config(square) == []
+
+
 def test_noiseless_config_tolerates_an_empty_grid():
     cfg = dataclasses.replace(ExperimentConfig(), noiseless=True, snr_grid_db=())
     assert validate_config(cfg) == []

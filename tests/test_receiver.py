@@ -21,6 +21,7 @@ from dmasim.receiver import (
     two_stage_estimate,
 )
 from dmasim.signals import add_noise, build_noiseless, build_rank_one
+from dmasim.tensor_ops import parafac_build
 from helpers import bals_pinv_oracle, khatri_rao_oracle, rand_cn, relerr
 
 
@@ -113,6 +114,20 @@ def _count_pinv(monkeypatch):
     return calls
 
 
+def _count_khatri_rao(monkeypatch):
+    """Record the Khatri-Rao products formed inside ``bals``; only the
+    pseudo-inverse fallback forms them."""
+    calls = []
+    original = receiver.khatri_rao
+
+    def counting(a, b):
+        calls.append((a.shape, b.shape))
+        return original(a, b)
+
+    monkeypatch.setattr(receiver, "khatri_rao", counting)
+    return calls
+
+
 def _assert_matches_oracle(y, f, x0, **kw):
     """Same iteration count, residual trace and fitted model as the pinv
     reference ALS from the same start."""
@@ -140,8 +155,10 @@ def test_bals_matches_the_pinv_reference_at_desk_geometry(monkeypatch):
     h, m, s, f, x = _scene(23, k=8, t=10, p=32, n=16, order=64)
     rt = add_noise(build_noiseless(h, x, f), 0.0, np.random.default_rng(24))
     calls = _count_pinv(monkeypatch)
+    kr_calls = _count_khatri_rao(monkeypatch)
     _assert_matches_oracle(rt.y, f, rand_cn(np.random.default_rng(25), 10, 16))
     assert calls == []
+    assert kr_calls == []
 
 
 def test_bals_rank_deficient_gram_takes_the_fallback(monkeypatch):
@@ -151,10 +168,12 @@ def test_bals_rank_deficient_gram_takes_the_fallback(monkeypatch):
     f = rand_cn(np.random.default_rng(26), 2, 6)
     rt = add_noise(build_noiseless(h, x, f), 20.0, np.random.default_rng(27))
     calls = _count_pinv(monkeypatch)
+    kr_calls = _count_khatri_rao(monkeypatch)
     res = _assert_matches_oracle(
         rt.y, f, rand_cn(np.random.default_rng(28), 2, 6), max_iters=20
     )
     assert len(calls) == 2 * len(res.residuals)
+    assert len(kr_calls) == len(calls) > 0
 
 
 def test_bals_equal_columns_take_the_fallback(monkeypatch):
@@ -169,6 +188,36 @@ def test_bals_equal_columns_take_the_fallback(monkeypatch):
     calls = _count_pinv(monkeypatch)
     res = _assert_matches_oracle(rt.y, f, x0, max_iters=50)
     assert len(calls) == 2 * len(res.residuals)
+
+
+@pytest.mark.parametrize("p", [12, 6])  # P > N and P == N, N = 6
+def test_bals_residual_trace_is_the_full_model_misfit(p):
+    # The loop takes the residual in the column space of F plus a per-trial
+    # out-of-space term; it must equal the misfit of the full model.  Entry
+    # i of the trace is checked from the factors of a run capped at i + 1
+    # iterations, which retraces the same iterates from the same start.
+    h, m, s, f, x = _scene(32, p=p)
+    rt = add_noise(build_noiseless(h, x, f), 5.0, np.random.default_rng(33))
+    x0 = rand_cn(np.random.default_rng(34), 8, 6)
+    res = bals(rt.y, f, cfg=BalsConfig(init=x0))
+    assert len(res.residuals) > 3
+    ynorm = np.linalg.norm(rt.y)
+    for cap in (1, 2, len(res.residuals)):
+        part = bals(rt.y, f, cfg=BalsConfig(init=x0, max_iters=cap))
+        misfit = np.linalg.norm(rt.y - parafac_build(part.h_hat, part.x_hat, f))
+        assert abs(res.residuals[cap - 1] - misfit / ynorm) <= 1e-12
+        assert part.residuals[-1] == res.residuals[cap - 1]
+
+
+@pytest.mark.parametrize("p", [12, 6])  # P > N and P == N, N = 6
+def test_bals_noiseless_stops_on_the_exact_fit_floor(p):
+    h, m, s, f, x = _scene(35, p=p)
+    y = build_noiseless(h, x, f).y
+    cfg = BalsConfig(tol=0.0)  # only the eps_floor test can stop the run
+    res = bals(y, f, cfg=cfg, rng=np.random.default_rng(36))
+    assert res.converged
+    assert len(res.residuals) < cfg.max_iters
+    assert res.residuals[-1] <= cfg.eps_floor
 
 
 def test_rank1_factorize_exact_rank_one_block():
@@ -293,14 +342,17 @@ def test_two_stage_random_scenes_always_monotone_and_finite(seed):
 
 
 def test_flop_estimate_reference_point():
-    # Reference geometry K=8, T=10, P=32, N=16: Grams + triangular solves,
-    # two Choleskys, right-hand sides, explicit residual.
-    grams_and_solves = 2 * (8 + 10) * 16 * 16
-    choleskys = 16**3 // 3
+    # Reference geometry K=8, T=10, P=32, N=16: Grams + LU substitutions,
+    # two Choleskys (n^3/3) + two LU factorisations (2n^3/3), right-hand
+    # sides, compressed residual in the min(P, N) = 16 column space of F.
+    grams_and_substitutions = 2 * (8 + 10) * 16 * 16
+    factorisations = 16**3
     rhs = 2 * 8 * 10 * 16
-    residual = 32 * 8 * 16 * (10 + 1)
+    residual = 8 * 10 * 16 * (16 + 1)
     assert flop_estimate(8, 10, 32, 16) == (
-        grams_and_solves + choleskys + rhs + residual
-    ) == 58197
+        grams_and_substitutions + factorisations + rhs + residual
+    ) == 37632
+    # P < N: the residual lives in the P-dimensional column space.
+    assert flop_estimate(8, 10, 4, 16) == 37632 - 8 * 10 * 16 * 12
     with pytest.raises(ValueError):
         flop_estimate(0, 1, 1, 1)

@@ -84,12 +84,15 @@ def test_khatri_rao_gram_is_hadamard_of_grams(i, j, n, seed):
 
 def test_parafac_build_matches_scalar_sum_oracle():
     rng = np.random.default_rng(2024)
-    h = rand_cn(rng, 4, 3)
-    x = rand_cn(rng, 5, 3)
-    f = rand_cn(rng, 6, 3)
-    y = parafac_build(h, x, f)
-    assert y.shape == (4, 5, 6)
-    assert relerr(y, tensor_oracle(h, x, f)) < 1e-13
+    # Single entries, one-column factors, and the desk geometry.
+    for k, t, p, n in [(4, 5, 6, 3), (1, 1, 1, 1), (3, 1, 2, 5), (1, 7, 4, 2),
+                       (8, 10, 32, 16)]:
+        h = rand_cn(rng, k, n)
+        x = rand_cn(rng, t, n)
+        f = rand_cn(rng, p, n)
+        y = parafac_build(h, x, f)
+        assert y.shape == (k, t, p)
+        assert relerr(y, tensor_oracle(h, x, f)) < 1e-13
 
 
 @given(k=dims, t=dims, p=dims, n=dims, seed=st.integers(0, 2**32 - 1))
