@@ -5,6 +5,7 @@ All generators are pure functions of an explicit ``numpy.random.Generator``
 so a campaign can reproduce any single draw from its seed.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,12 +119,14 @@ def gen_lorentzian_training(
     )
 
 
+@functools.lru_cache
 def gen_dft_training(p: int, n: int) -> TrainingMatrix:
     """Semi-unitary training built from the first n columns of the p-point
     DFT matrix: f[p_idx, n_idx] = exp(-2j*pi*p_idx*n_idx / p).
 
     Satisfies ``f.T @ f.conj() == p * eye(n)`` exactly, which the closed-form
-    estimators rely on.  Requires p >= n.
+    estimators rely on.  Requires p >= n.  Deterministic, so it is built
+    once per (p, n) and shared: the returned ``f`` is read-only.
     """
     if p < 1 or n < 1:
         raise ValueError("p and n must be positive")
@@ -132,6 +135,7 @@ def gen_dft_training(p: int, n: int) -> TrainingMatrix:
     rows = np.arange(p)[:, None]
     cols = np.arange(n)[None, :]
     f = np.exp(-2j * np.pi * rows * cols / p)
+    f.flags.writeable = False
     return TrainingMatrix(f=f, kind="semi-unitary-dft")
 
 
@@ -144,8 +148,10 @@ def _qam_side(order: int) -> int:
     return side
 
 
+@functools.lru_cache
 def qam_alphabet(order: int) -> np.ndarray:
-    """Unit-average-energy square QAM constellation.
+    """Unit-average-energy square QAM constellation, built once per order
+    and shared, so the returned array is read-only.
 
     Index convention: point ``i * side + q`` carries in-phase level
     ``2*i - (side-1)`` and quadrature level ``2*q - (side-1)`` (both before
@@ -158,7 +164,9 @@ def qam_alphabet(order: int) -> np.ndarray:
     pts = levels[:, None] + 1j * levels[None, :]
     # unit average energy: E|s|^2 = 2*(order-1)/3 before scaling
     scale = math.sqrt(2.0 * (order - 1) / 3.0)
-    return pts.ravel() / scale
+    alphabet = pts.ravel() / scale
+    alphabet.flags.writeable = False
+    return alphabet
 
 
 def gen_qam(t: int, order: int, rng: np.random.Generator) -> SymbolBlock:

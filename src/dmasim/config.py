@@ -15,6 +15,8 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 RECEIVERS = ("proposed", "bench-data-aided", "bench-pilot-aided")
 TRAININGS = ("lorentzian", "semi-unitary-dft")
 INNER_MODELS = ("random-phase", "physical")
@@ -26,7 +28,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    K: int = 8  # receive antennas
+    K: int = 8  # subcarriers
     T: int = 10  # symbols per block
     P: int = 32  # training slots
     N: int = 16  # radiating elements (must equal D * L)
@@ -161,6 +163,11 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         raise ConfigError("threads must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be a non-negative integer")
+    for name in ("tol", "rcond", "alpha", "beta", "spacing"):
+        # tol = inf would stop every trial after two iterations, and a NaN
+        # physical constant would fail every trial.
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
     if not (cfg.tol > 0.0):
         raise ConfigError("tol must be positive")
     if not (cfg.rcond > 0.0):
@@ -175,7 +182,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         raise ConfigError(
             "benchmark receivers require training = semi-unitary-dft"
         )
-    from .channels import _qam_side  # validation only
+    from .channels import _qam_side, gen_inner_physical  # validation only
 
     try:
         _qam_side(cfg.qam_order)
@@ -186,6 +193,18 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             raise ConfigError("physical inner model requires spacing > 0")
         if cfg.alpha < 0:
             raise ConfigError("physical inner model requires alpha >= 0")
+        if cfg.receiver != "proposed":
+            # The closed forms weight element n by 1/|m[n]|^2, which is
+            # infinite once the damped response underflows.
+            m = gen_inner_physical(cfg.D, cfg.L, cfg.alpha, cfg.beta, cfg.spacing).m
+            with np.errstate(divide="ignore", over="ignore"):
+                m_tilde = 1.0 / np.abs(m) ** 2
+            if not np.all(np.isfinite(m_tilde)):
+                raise ConfigError(
+                    "physical inner model underflows: 1/|m|^2 is infinite at "
+                    f"alpha={cfg.alpha}, spacing={cfg.spacing}, L={cfg.L}, "
+                    "so the benchmark receivers cannot weight it"
+                )
     if not all(math.isfinite(v) for v in cfg.snr_grid_db):
         # add_noise would run an infinite SNR noise-free and a NaN one with
         # NaN noise; the noise-free point is selected by ``noiseless``.

@@ -103,6 +103,19 @@ def _normal_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return np.linalg.solve(gram, rhs.conj().T).conj().T
 
 
+def normal_rhs(yf: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
+    """Right-hand side of a half-step's normal equations,
+    ``unfold_mode{mode}(Y) @ conj(khatri_rao(F, factor))``, from the
+    training-contracted block ``yf = Y F*`` of shape (K, T, N).
+
+    Mode 1 (the channel update) contracts the symbol axis with the (T, N)
+    ``factor``; mode 2 (the symbol-block update) contracts the subcarrier
+    axis with the (K, N) ``factor``.
+    """
+    spec = "ktn,tn->kn" if mode == 1 else "ktn,kn->tn"
+    return np.einsum(spec, yf, factor.conj())
+
+
 def bals(
     y: np.ndarray,
     f: np.ndarray,
@@ -180,13 +193,13 @@ def bals(
         try:
             h_hat = _normal_solve(
                 gf * (x_hat.T @ x_hat.conj()),
-                np.einsum("ktn,tn->kn", yf, x_hat.conj()),
+                normal_rhs(yf, x_hat, 1),
             )
             if h_hat is None:
                 h_hat = unfold_mode1(y) @ pinv(khatri_rao(f, x_hat).T, cfg.rcond)
             x_hat = _normal_solve(
                 gf * (h_hat.T @ h_hat.conj()),
-                np.einsum("ktn,kn->tn", yf, h_hat.conj()),
+                normal_rhs(yf, h_hat, 2),
             )
             if x_hat is None:
                 x_hat = unfold_mode2(y) @ pinv(khatri_rao(f, h_hat).T, cfg.rcond)

@@ -17,6 +17,7 @@ from dmasim.channels import (
     gen_pilots,
     gen_qam,
     gen_wireless,
+    qam_alphabet,
 )
 from dmasim.metrics import nmse
 from dmasim.signals import add_noise, build_noiseless, build_rank_one
@@ -130,7 +131,7 @@ def test_data_aided_estimate_noiseless_is_exact():
     np.testing.assert_allclose(rep.s_hat, s, atol=1e-10)
     assert rep.iterations == 1
     assert rep.converged
-    assert rep.residual_trace.shape == (1,)
+    assert rep.residual_trace.shape == (0,)  # one-shot: no residual
 
 
 def test_pilot_aided_estimate_noiseless_is_exact():
@@ -141,6 +142,7 @@ def test_pilot_aided_estimate_noiseless_is_exact():
     assert nmse(rep.m_hat, m) < 1e-20
     np.testing.assert_array_equal(rep.s_hat, s)
     assert rep.iterations == 1
+    assert rep.residual_trace.shape == (0,)  # one-shot: no residual
 
 
 def test_data_aided_estimate_tracks_noise_level():
@@ -154,3 +156,62 @@ def test_data_aided_estimate_tracks_noise_level():
         errs.append(nmse(rep.h_hat, h))
     # 20 dB more SNR must buy roughly 20 dB lower error (paired noise draw).
     assert 10 * np.log10(errs[0] / errs[1]) == pytest.approx(20.0, abs=1.0)
+
+
+@pytest.mark.parametrize(
+    "k,t,p,n",
+    [(5, 5, 5, 5), (4, 6, 8, 5), (8, 10, 32, 16), (3, 7, 16, 16)],
+    ids=["P==N", "P>N", "desk", "K<T,P==N"],
+)
+def test_matched_filters_equal_their_khatri_rao_formulas(k, t, p, n):
+    # The filters contract Y with F* and then with the other factor; the
+    # formulas they replace multiplied the unfolded block against an
+    # explicit Khatri-Rao product.
+    rng = np.random.default_rng(k * 1000 + p)
+    h = gen_wireless(k, n, rng)
+    m = gen_inner_random_phase(n, rng).m
+    s = gen_qam(t, 16, rng).s
+    pilots = gen_pilots(t).s
+    f = gen_dft_training(p, n).f
+    y = add_noise(
+        build_noiseless(h, build_rank_one(s, m), f), 5.0, rng
+    ).y
+    y1, y2 = unfold_mode1(y), unfold_mode2(y)
+    m_tilde, h_tilde = oracle_weights(h, m)
+    x, xp = build_rank_one(s, m), build_rank_one(pilots, m)
+    s_energy = np.linalg.norm(s) ** 2
+    pairs = [
+        (
+            semi_unitary_h(y1, f, x, m_tilde),
+            (y1 @ khatri_rao(f, x).conj()) * (m_tilde / (p * s_energy)),
+        ),
+        (
+            semi_unitary_x(y2, f, h, h_tilde),
+            (y2 @ khatri_rao(f, h).conj()) * (h_tilde / p),
+        ),
+        (
+            pilot_aided_h(y1, f, pilots, m, m_tilde),
+            (y1 @ khatri_rao(f, xp).conj()) * (m_tilde / (p * t)),
+        ),
+        (
+            pilot_aided_m(y2, f, h, h_tilde, pilots),
+            h_tilde * (khatri_rao(f, h).conj().T @ (y2.T @ pilots.conj())) / (p * t),
+        ),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert relerr(got, want) < 1e-12
+
+
+def test_deterministic_trial_constants_are_built_once_and_read_only():
+    f = gen_dft_training(8, 5).f
+    assert gen_dft_training(8, 5).f is f
+    alphabet = qam_alphabet(16)
+    assert qam_alphabet(16) is alphabet
+    for shared in (f, alphabet):
+        with pytest.raises(ValueError):
+            shared[0] = 0.0
+    # Draws from the shared alphabet are fresh, writable arrays.
+    block = gen_qam(4, 16, np.random.default_rng(0)).s
+    block[0] = 0.0
+    assert alphabet[0] != 0.0

@@ -113,6 +113,24 @@ def test_run_rejects_dft_training_shorter_than_n(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_rejects_underflowing_physical_model_for_closed_forms(tmp_path, capsys):
+    path = tmp_path / "underflow.cfg"
+    path.write_text(
+        TINY.replace("training = lorentzian", "training = semi-unitary-dft")
+        .replace("receiver = proposed", "receiver = bench-data-aided")
+        + "inner_model = physical\nalpha = 400\nspacing = 1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = main(["run", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    err = json.loads(captured.err)
+    assert err["error"] == "config"
+    assert "underflows" in err["detail"]
+    assert not out.exists()
+
+
 def test_unparseable_config_fails_with_config_code(tmp_path, capsys):
     path = tmp_path / "junk.cfg"
     path.write_text("what even is this\n", encoding="utf-8")

@@ -74,6 +74,14 @@ def test_parser_rejects_malformed_lines(line):
         parse_config_text(line + "\n")
 
 
+_UNDERFLOW = {
+    "training": "semi-unitary-dft",
+    "inner_model": "physical",
+    "alpha": 200.0,
+    "spacing": 1.0,
+}
+
+
 @pytest.mark.parametrize(
     "override",
     [
@@ -96,6 +104,21 @@ def test_parser_rejects_malformed_lines(line):
         {"snr_grid_db": (float("inf"),)},
         {"snr_grid_db": (10.0, float("nan"))},
         {"snr_grid_db": (float("inf"),), "noiseless": True},
+        # Non-finite solver and physical values used to pass: tol = inf made
+        # every trial "converge" after two iterations, alpha = nan failed
+        # every trial.
+        {"tol": float("inf")},
+        {"rcond": float("inf")},
+        {"alpha": float("nan")},
+        {"alpha": float("inf"), "inner_model": "physical", "spacing": 1.0},
+        {"beta": float("-inf")},
+        {"beta": float("nan"), "inner_model": "physical", "spacing": 1.0},
+        {"spacing": float("inf")},
+        {"spacing": float("nan"), "inner_model": "physical"},
+        # A closed-form campaign on an underflowing physical model died on
+        # an uncaught ValueError from the first trial.
+        {"receiver": "bench-data-aided", **_UNDERFLOW},
+        {"receiver": "bench-pilot-aided", **_UNDERFLOW},
     ],
 )
 def test_validate_rejects_bad_configs(override):
@@ -122,6 +145,20 @@ def test_validate_rejects_dft_training_shorter_than_n():
             validate_config(cfg)
     square = dataclasses.replace(ExperimentConfig(), P=16, training="semi-unitary-dft")
     assert validate_config(square) == []
+
+
+def test_validate_accepts_underflow_only_where_no_weight_needs_it():
+    # With alpha * spacing = 200, |m|^2 = exp(-400 l) underflows to 0 from
+    # the second element on, so the closed-form weight 1/|m|^2 is infinite;
+    # the iterative receiver uses no such weights, and a milder damping
+    # keeps the weights finite.
+    base = dataclasses.replace(ExperimentConfig(), **_UNDERFLOW)
+    assert validate_config(base) == []
+    for receiver in ("bench-data-aided", "bench-pilot-aided"):
+        with pytest.raises(ConfigError, match="underflows"):
+            validate_config(dataclasses.replace(base, receiver=receiver))
+        damped = dataclasses.replace(base, receiver=receiver, alpha=1.0)
+        assert validate_config(damped) == []
 
 
 def test_noiseless_config_tolerates_an_empty_grid():
