@@ -7,116 +7,3 @@ semi-unitary training.
 """
 
 __version__ = "0.1.0"
-
-from .benchmarks import (
-    data_aided_estimate,
-    oracle_weights,
-    pilot_aided_estimate,
-    pilot_aided_h,
-    pilot_aided_m,
-    semi_unitary_h,
-    semi_unitary_x,
-)
-from .campaign import MetricRow, TrialResult, run_campaign, run_trial
-from .channels import (
-    GenerationError,
-    InnerChannel,
-    SymbolBlock,
-    TrainingMatrix,
-    gen_dft_training,
-    gen_inner_physical,
-    gen_inner_random_phase,
-    gen_lorentzian_training,
-    gen_pilots,
-    gen_qam,
-    gen_wireless,
-    qam_alphabet,
-    qam_demap,
-)
-from .config import ConfigError, ExperimentConfig, load_config_file, validate_config
-from .metrics import nmse, ser, to_db
-from .receiver import (
-    BalsConfig,
-    BalsResult,
-    EstimateReport,
-    EstimationError,
-    bals,
-    flop_estimate,
-    rank1_factorize,
-    remove_ambiguity,
-    two_stage_estimate,
-)
-from .signals import (
-    ReceivedTensor,
-    add_noise,
-    build_noiseless,
-    build_rank_one,
-    identifiability_preflight,
-)
-from .tensor_ops import (
-    NumericalError,
-    SvdTriplet,
-    dominant_triplet,
-    khatri_rao,
-    parafac_build,
-    pinv,
-    unfold_mode1,
-    unfold_mode2,
-)
-
-__all__ = [
-    "__version__",
-    "BalsConfig",
-    "BalsResult",
-    "ConfigError",
-    "EstimateReport",
-    "EstimationError",
-    "ExperimentConfig",
-    "GenerationError",
-    "InnerChannel",
-    "MetricRow",
-    "NumericalError",
-    "ReceivedTensor",
-    "SvdTriplet",
-    "SymbolBlock",
-    "TrainingMatrix",
-    "TrialResult",
-    "add_noise",
-    "bals",
-    "build_noiseless",
-    "build_rank_one",
-    "data_aided_estimate",
-    "dominant_triplet",
-    "flop_estimate",
-    "gen_dft_training",
-    "gen_inner_physical",
-    "gen_inner_random_phase",
-    "gen_lorentzian_training",
-    "gen_pilots",
-    "gen_qam",
-    "gen_wireless",
-    "identifiability_preflight",
-    "khatri_rao",
-    "load_config_file",
-    "nmse",
-    "oracle_weights",
-    "parafac_build",
-    "pilot_aided_estimate",
-    "pilot_aided_h",
-    "pilot_aided_m",
-    "pinv",
-    "qam_alphabet",
-    "qam_demap",
-    "rank1_factorize",
-    "remove_ambiguity",
-    "run_campaign",
-    "run_trial",
-    "semi_unitary_h",
-    "semi_unitary_x",
-    "ser",
-    "to_db",
-    "two_stage_estimate",
-    "unfold_mode1",
-    "unfold_mode2",
-    "validate_config",
-]

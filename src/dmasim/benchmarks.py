@@ -31,7 +31,7 @@ _SEMI_UNITARY_RTOL = 1e-8
 
 def _check_semi_unitary(f: np.ndarray) -> int:
     p, n = f.shape
-    if p >= n >= 1 and f is gen_dft_training(p, n).f:
+    if p >= n >= 1 and f is gen_dft_training(p, n):
         # The shared, read-only DFT training is semi-unitary by construction.
         return p
     gram = f.T @ f.conj()

@@ -101,23 +101,21 @@ def run_trial(
         h_true = gen_wireless(
             cfg.K, cfg.N, _trial_rng(cfg.seed, snr_idx, trial, _TAG_CHANNEL)
         )
-        inner = _draw_inner(cfg, _trial_rng(cfg.seed, snr_idx, trial, _TAG_INNER))
-        m_true = inner.m
+        m_true = _draw_inner(cfg, _trial_rng(cfg.seed, snr_idx, trial, _TAG_INNER))
         pilot_mode = cfg.receiver == "bench-pilot-aided"
         if pilot_mode:
-            block = gen_pilots(cfg.T)
+            s_true = gen_pilots(cfg.T)
         else:
-            block = gen_qam(
+            s_true = gen_qam(
                 cfg.T, cfg.qam_order,
                 _trial_rng(cfg.seed, snr_idx, trial, _TAG_SYMBOLS),
             )
-        s_true = block.s
         if cfg.training == "lorentzian":
             f = gen_lorentzian_training(
                 cfg.P, cfg.N, _trial_rng(cfg.seed, snr_idx, trial, _TAG_TRAINING)
-            ).f
+            )
         else:
-            f = gen_dft_training(cfg.P, cfg.N).f
+            f = gen_dft_training(cfg.P, cfg.N)
         x_true = build_rank_one(s_true, m_true)
         rt = build_noiseless(h_true, x_true, f)
         rt = add_noise(rt, snr_db, _trial_rng(cfg.seed, snr_idx, trial, _TAG_NOISE))

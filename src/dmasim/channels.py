@@ -7,38 +7,12 @@ so a campaign can reproduce any single draw from its seed.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 
 class GenerationError(RuntimeError):
     """Raised when a random generator cannot produce a valid draw."""
-
-
-@dataclass(frozen=True)
-class InnerChannel:
-    """Frequency response of the antenna's internal feed, one entry per
-    radiating element (waveguide-major ordering: element index fast)."""
-
-    m: np.ndarray
-    mode: str  # "random-phase" | "physical"
-    alpha: float = 0.0
-    beta: float = 0.0
-    positions: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class SymbolBlock:
-    s: np.ndarray
-    kind: str  # "qam-data" | "vandermonde-pilot"
-    order: int | None = None
-
-
-@dataclass(frozen=True)
-class TrainingMatrix:
-    f: np.ndarray
-    kind: str  # "lorentzian" | "semi-unitary-dft"
 
 
 def gen_wireless(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -50,17 +24,18 @@ def gen_wireless(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return (re + 1j * im) / math.sqrt(2.0)
 
 
-def gen_inner_random_phase(n: int, rng: np.random.Generator) -> InnerChannel:
-    """Unit-modulus inner response with i.i.d. uniform phases."""
+def gen_inner_random_phase(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit-modulus inner response (the antenna's internal feed, one entry
+    per radiating element) with i.i.d. uniform phases."""
     if n < 1:
         raise ValueError("n must be positive")
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return InnerChannel(m=np.exp(1j * theta), mode="random-phase")
+    return np.exp(1j * theta)
 
 
 def gen_inner_physical(
     d: int, l: int, alpha: float, beta: float, spacing: float
-) -> InnerChannel:
+) -> np.ndarray:
     """Deterministic damped-propagation inner response.
 
     Parameters
@@ -81,12 +56,7 @@ def gen_inner_physical(
     if alpha < 0.0:
         raise ValueError("alpha must be nonnegative")
     x = spacing * np.arange(1, l + 1, dtype=float)
-    per_guide = np.exp(-(alpha + 1j * beta) * x)
-    m = np.tile(per_guide, d)
-    positions = np.tile(x, d)
-    return InnerChannel(
-        m=m, mode="physical", alpha=alpha, beta=beta, positions=positions
-    )
+    return np.tile(np.exp(-(alpha + 1j * beta) * x), d)
 
 
 def lorentzian_entry(phi: np.ndarray | float) -> np.ndarray | complex:
@@ -96,7 +66,7 @@ def lorentzian_entry(phi: np.ndarray | float) -> np.ndarray | complex:
 
 def gen_lorentzian_training(
     p: int, n: int, rng: np.random.Generator, max_attempts: int = 10
-) -> TrainingMatrix:
+) -> np.ndarray:
     """Random constrained training matrix with i.i.d. uniform tuning phases.
 
     Every entry lies on the circle of radius 1/2 centred at 1j/2.  The draw
@@ -113,20 +83,20 @@ def gen_lorentzian_training(
         phi = rng.uniform(0.0, 2.0 * np.pi, size=(p, n))
         f = lorentzian_entry(phi)
         if np.linalg.matrix_rank(f) == n:
-            return TrainingMatrix(f=f, kind="lorentzian")
+            return f
     raise GenerationError(
         f"no full-column-rank draw in {max_attempts} attempts (p={p}, n={n})"
     )
 
 
 @functools.lru_cache
-def gen_dft_training(p: int, n: int) -> TrainingMatrix:
+def gen_dft_training(p: int, n: int) -> np.ndarray:
     """Semi-unitary training built from the first n columns of the p-point
     DFT matrix: f[p_idx, n_idx] = exp(-2j*pi*p_idx*n_idx / p).
 
     Satisfies ``f.T @ f.conj() == p * eye(n)`` exactly, which the closed-form
     estimators rely on.  Requires p >= n.  Deterministic, so it is built
-    once per (p, n) and shared: the returned ``f`` is read-only.
+    once per (p, n) and shared: the returned array is read-only.
     """
     if p < 1 or n < 1:
         raise ValueError("p and n must be positive")
@@ -136,7 +106,7 @@ def gen_dft_training(p: int, n: int) -> TrainingMatrix:
     cols = np.arange(n)[None, :]
     f = np.exp(-2j * np.pi * rows * cols / p)
     f.flags.writeable = False
-    return TrainingMatrix(f=f, kind="semi-unitary-dft")
+    return f
 
 
 def _qam_side(order: int) -> int:
@@ -169,21 +139,20 @@ def qam_alphabet(order: int) -> np.ndarray:
     return alphabet
 
 
-def gen_qam(t: int, order: int, rng: np.random.Generator) -> SymbolBlock:
+def gen_qam(t: int, order: int, rng: np.random.Generator) -> np.ndarray:
     """Draw t i.i.d. uniform symbols from the unit-energy QAM alphabet."""
     if t < 1:
         raise ValueError("t must be positive")
     alphabet = qam_alphabet(order)
     idx = rng.integers(0, order, size=t)
-    return SymbolBlock(s=alphabet[idx], kind="qam-data", order=order)
+    return alphabet[idx]
 
 
-def gen_pilots(t: int) -> SymbolBlock:
+def gen_pilots(t: int) -> np.ndarray:
     """Deterministic unit-modulus pilot block s[t_idx] = exp(1j*t_idx/t)."""
     if t < 1:
         raise ValueError("t must be positive")
-    s = np.exp(1j * np.arange(t) / t)
-    return SymbolBlock(s=s, kind="vandermonde-pilot", order=None)
+    return np.exp(1j * np.arange(t) / t)
 
 
 def qam_demap(s_hat: np.ndarray, order: int) -> np.ndarray:

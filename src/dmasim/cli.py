@@ -5,11 +5,10 @@ Subcommands:
 * ``run <config>``      — run the campaign, write results.csv + summary.json
 * ``validate <config>`` — parse, validate, and report identifiability
 * ``sweep <config>``    — run one campaign per point of the declared grid
-* ``selftest``          — quick built-in invariant checks
 
 Exit codes: 0 success, 2 usage (argparse), 3 configuration error, 4 I/O
-error, 5 estimation failure, 6 selftest failure.  Errors print one JSON
-object to stderr: ``{"error": <category>, "detail": <message>}``.
+error, 5 estimation failure.  Errors print one JSON object to stderr:
+``{"error": <category>, "detail": <message>}``.
 """
 
 import argparse
@@ -21,13 +20,11 @@ import sys
 from .campaign import run_campaign, snr_grid
 from .config import ConfigError, load_config_file, validate_config
 from .receiver import EstimationError
-from .selftest import run_selftest
 from .signals import identifiability_preflight
 
 EXIT_CONFIG = 3
 EXIT_IO = 4
 EXIT_ESTIMATION = 5
-EXIT_SELFTEST = 6
 
 
 def _fail(category: str, detail: str, code: int) -> int:
@@ -111,14 +108,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    ok = run_selftest(seed=args.seed if args.seed is not None else 1234)
-    if not ok:
-        return _fail("selftest", "one or more checks failed", EXIT_SELFTEST)
-    print("all checks passed")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dmasim",
@@ -126,9 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True, needs_out=False):
-        if needs_config:
-            p.add_argument("config", help="flat key-value config file")
+    def common(p, needs_out=False):
+        p.add_argument("config", help="flat key-value config file")
         if needs_out:
             p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
@@ -152,10 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep, needs_out=True)
     p_sweep.add_argument("--noiseless", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_self = sub.add_parser("selftest", help="quick built-in checks")
-    p_self.add_argument("--seed", type=int, default=None)
-    p_self.set_defaults(func=_cmd_selftest)
     return parser
 
 

@@ -7,7 +7,8 @@ starts a comment and blank lines are ignored.  Keys match the
 comma list (``0,5,10``) or a ``start:step:stop`` range (``0:5:30``,
 inclusive).  Booleans are ``true``/``false``.  Keys of the form
 ``sweep_<field> = v1,v2,...`` do not configure the base campaign; they
-declare a grid for the ``sweep`` command and are returned separately.
+declare a grid for the ``sweep`` command and are returned separately
+(each field at most once, with at least one value).
 """
 
 import dataclasses
@@ -127,9 +128,13 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
             target = key[len("sweep_"):]
             if target not in _FIELD_NAMES or target == "snr_grid_db":
                 raise ConfigError(f"line {lineno}: cannot sweep {target!r}")
+            if target in sweeps:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             sweeps[target] = tuple(
                 coerce_value(target, part) for part in raw.split(",") if part.strip()
             )
+            if not sweeps[target]:
+                raise ConfigError(f"line {lineno}: {key} lists no values")
             continue
         if key not in _FIELD_NAMES:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
@@ -141,7 +146,11 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
 
 def load_config_file(path: str) -> tuple[ExperimentConfig, dict]:
     with open(path, "r", encoding="utf-8") as fh:
-        values, sweeps = parse_config_text(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    values, sweeps = parse_config_text(text)
     cfg = ExperimentConfig(**values)
     validate_config(cfg)
     return cfg, sweeps
@@ -196,7 +205,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         if cfg.receiver != "proposed":
             # The closed forms weight element n by 1/|m[n]|^2, which is
             # infinite once the damped response underflows.
-            m = gen_inner_physical(cfg.D, cfg.L, cfg.alpha, cfg.beta, cfg.spacing).m
+            m = gen_inner_physical(cfg.D, cfg.L, cfg.alpha, cfg.beta, cfg.spacing)
             with np.errstate(divide="ignore", over="ignore"):
                 m_tilde = 1.0 / np.abs(m) ** 2
             if not np.all(np.isfinite(m_tilde)):

@@ -1,32 +1,20 @@
-"""Estimation-quality metrics with explicit ambiguity-fit classes.
+"""Estimation-quality metrics.
 
-Semi-blind estimates are only defined up to a residual ambiguity, so every
-normalised error here names the transformation class that is optimally
-fitted (by least squares against the ground truth) before the error is
-measured: ``none``, a single complex ``scalar``, or a ``diagonal`` acting
-on the last (per-column) axis.  The classes are nested, so
-``nmse(fit="diagonal") <= nmse(fit="scalar") <= nmse(fit="none")``.
+Semi-blind estimates are only defined up to a residual per-column
+(diagonal) ambiguity.  ``nmse`` scores the estimate exactly as given; the
+caller removes the ambiguity first with the least-squares scales from
+``diagonal_fit``, as the campaign does.
 """
 
 import numpy as np
 
 from .channels import qam_demap
 
-FIT_CLASSES = ("none", "scalar", "diagonal")
-
 
 def to_db(x: float) -> float:
     """Linear power ratio in decibels; 0 maps to -inf."""
     with np.errstate(divide="ignore"):
         return float(10.0 * np.log10(x))
-
-
-def scalar_fit(est: np.ndarray, truth: np.ndarray) -> complex:
-    """Least-squares complex scale c minimising ||c*est - truth||."""
-    denom = np.vdot(est, est)
-    if denom == 0:
-        return 0.0 + 0.0j
-    return complex(np.vdot(est, truth) / denom)
 
 
 def diagonal_fit(est: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -46,9 +34,8 @@ def diagonal_fit(est: np.ndarray, truth: np.ndarray) -> np.ndarray:
     return d
 
 
-def nmse(est: np.ndarray, truth: np.ndarray, fit: str = "none") -> float:
-    """Normalised mean squared error ||est' - truth||^2 / ||truth||^2 where
-    est' is est after the optimal fit of the declared ambiguity class."""
+def nmse(est: np.ndarray, truth: np.ndarray) -> float:
+    """Normalised mean squared error ||est - truth||^2 / ||truth||^2."""
     est = np.asarray(est)
     truth = np.asarray(truth)
     if est.shape != truth.shape:
@@ -56,15 +43,7 @@ def nmse(est: np.ndarray, truth: np.ndarray, fit: str = "none") -> float:
     tnorm = float(np.linalg.norm(truth) ** 2)
     if tnorm == 0.0:
         raise ValueError("nmse is undefined for an all-zero truth")
-    if fit == "none":
-        fitted = est
-    elif fit == "scalar":
-        fitted = scalar_fit(est, truth) * est
-    elif fit == "diagonal":
-        fitted = est * diagonal_fit(est, truth)
-    else:
-        raise ValueError(f"unknown fit class {fit!r}; use one of {FIT_CLASSES}")
-    return float(np.linalg.norm(fitted - truth) ** 2) / tnorm
+    return float(np.linalg.norm(est - truth) ** 2) / tnorm
 
 
 def ser(

@@ -252,16 +252,12 @@ def remove_ambiguity(
     s_hat: np.ndarray,
     m_hat: np.ndarray,
     s1_ref: complex,
-    m_ref: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fix the scalar split ambiguity with one known reference symbol.
 
     Scales ``s_hat`` so its first entry equals ``s1_ref`` and counter-scales
-    ``m_hat``, leaving their outer product unchanged.  When the oracle inner
-    response ``m_ref`` is supplied, the remaining per-column (diagonal)
-    ambiguity shared between ``h_hat`` and ``m_hat`` is also removed; that
-    path is meant for diagnostics, since it hands the receiver the very
-    quantity being estimated.
+    ``m_hat``, leaving their outer product unchanged.  The per-column
+    (diagonal) ambiguity shared between ``h_hat`` and ``m_hat`` remains.
     """
     if s1_ref == 0:
         raise ValueError("the reference symbol must be nonzero")
@@ -271,19 +267,7 @@ def remove_ambiguity(
             "ambiguity unresolvable: estimated reference symbol is ~0"
         )
     lam = s1_ref / s_hat[0]
-    s_out = lam * s_hat
-    m_out = m_hat / lam
-    h_out = np.array(h_hat, dtype=complex)
-    if m_ref is not None:
-        m_ref = np.asarray(m_ref)
-        if m_ref.shape != m_out.shape:
-            raise ValueError("m_ref shape mismatch")
-        if np.any(np.abs(m_ref) < 1e-300) or np.any(np.abs(m_out) < 1e-300):
-            raise EstimationError("diagonal ambiguity unresolvable: zero entry")
-        ratio = m_out / m_ref
-        h_out = h_out * ratio[None, :]
-        m_out = m_ref.astype(complex)
-    return h_out, s_out, m_out
+    return np.array(h_hat, dtype=complex), lam * s_hat, m_hat / lam
 
 
 def two_stage_estimate(
@@ -292,7 +276,6 @@ def two_stage_estimate(
     s1_ref: complex,
     cfg: BalsConfig | None = None,
     rng: np.random.Generator | None = None,
-    m_ref: np.ndarray | None = None,
 ) -> EstimateReport:
     """Full receiver: alternating-LS stage, rank-one split, ambiguity fix.
 
@@ -302,7 +285,7 @@ def two_stage_estimate(
     res = bals(y, f, cfg=cfg, rng=rng)
     split = rank1_factorize(res.x_hat)
     h_out, s_out, m_out = remove_ambiguity(
-        res.h_hat, split.s_hat, split.m_hat, s1_ref, m_ref=m_ref
+        res.h_hat, split.s_hat, split.m_hat, s1_ref
     )
     runtime = time.perf_counter() - t0
     return EstimateReport(

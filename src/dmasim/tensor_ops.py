@@ -20,19 +20,11 @@ With these choices, for ``y = parafac_build(h, x, f)``::
 hold exactly (up to floating-point roundoff).
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 
 class NumericalError(RuntimeError):
     """Raised when a dense linear-algebra kernel fails to converge."""
-
-
-class SvdTriplet(NamedTuple):
-    sigma: float
-    u: np.ndarray
-    v: np.ndarray
 
 
 def unfold_mode1(y: np.ndarray) -> np.ndarray:
@@ -97,19 +89,3 @@ def pinv(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     inv[keep] = 1.0 / s[keep]
     return (vh.conj().T * inv) @ u.conj().T
 
-
-def dominant_triplet(a: np.ndarray) -> SvdTriplet:
-    """Leading singular triplet (sigma, u, v) with a ~ sigma * outer(u, conj(v)).
-
-    ``u`` and ``v`` have unit norm; ``sigma * u @ v.conj().T`` is the best
-    rank-one approximation of ``a`` in the Frobenius sense.
-    """
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError("dominant_triplet expects a nonempty matrix")
-    if not np.any(a):
-        raise ValueError("dominant_triplet of an all-zero matrix is undefined")
-    try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalError(f"SVD failed in dominant_triplet: {exc}") from exc
-    return SvdTriplet(float(s[0]), u[:, 0].copy(), vh[0].conj().copy())

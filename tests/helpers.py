@@ -82,6 +82,15 @@ def demap_oracle(value: complex, alphabet: np.ndarray) -> int:
     return best
 
 
+def scalar_fit_oracle(est: np.ndarray, truth: np.ndarray) -> complex:
+    """Least-squares complex scale c minimising ||c*est - truth||, from the
+    normal equation c = <est, truth> / <est, est>; 0 for a zero estimate."""
+    denom = np.vdot(est, est)
+    if denom == 0:
+        return 0.0 + 0.0j
+    return complex(np.vdot(est, truth) / denom)
+
+
 def relerr(est: np.ndarray, ref: np.ndarray) -> float:
     """Frobenius relative error against a reference."""
     denom = np.linalg.norm(ref)

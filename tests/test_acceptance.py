@@ -117,9 +117,9 @@ def test_criterion_2_noiseless_exact_recovery():
     k, n, p, t = 8, 16, 32, 10
     rng = np.random.default_rng(2002)
     h = gen_wireless(k, n, rng)
-    m = gen_inner_random_phase(n, rng).m
-    s = gen_qam(t, 64, rng).s
-    f = gen_lorentzian_training(p, n, rng).f
+    m = gen_inner_random_phase(n, rng)
+    s = gen_qam(t, 64, rng)
+    f = gen_lorentzian_training(p, n, rng)
     y = build_noiseless(h, build_rank_one(s, m), f).y
 
     t0 = time.perf_counter()
@@ -164,9 +164,9 @@ def test_criterion_3_closed_form_equivalence():
         k = int(rng.integers(2, 9))
         t = int(rng.integers(2, 9))
         h = gen_wireless(k, n, rng)
-        m = gen_inner_random_phase(n, rng).m
-        s = gen_qam(t, 16, rng).s
-        f = gen_dft_training(p, n).f
+        m = gen_inner_random_phase(n, rng)
+        s = gen_qam(t, 16, rng)
+        f = gen_dft_training(p, n)
         x = build_rank_one(s, m)
         snr_db = float(rng.uniform(0.0, 30.0))
         rt = add_noise(build_noiseless(h, x, f), snr_db, rng)
@@ -198,9 +198,9 @@ def test_criterion_4_pilot_benchmark_exactness():
         k = int(rng.integers(2, 9))
         t = int(rng.integers(2, 11))
         h = gen_wireless(k, n, rng)
-        m = gen_inner_random_phase(n, rng).m
-        pilots = gen_pilots(t).s
-        f = gen_dft_training(p, n).f
+        m = gen_inner_random_phase(n, rng)
+        pilots = gen_pilots(t)
+        f = gen_dft_training(p, n)
         y = build_noiseless(h, build_rank_one(pilots, m), f).y
         m_tilde, h_tilde = oracle_weights(h, m)
         y1, y2 = unfold_mode1(y), unfold_mode2(y)

@@ -28,9 +28,9 @@ from helpers import rand_cn, relerr
 def _scene(seed, k=4, t=6, p=8, n=5, pilots=False):
     rng = np.random.default_rng(seed)
     h = gen_wireless(k, n, rng)
-    m = gen_inner_random_phase(n, rng).m
-    s = gen_pilots(t).s if pilots else gen_qam(t, 16, rng).s
-    f = gen_dft_training(p, n).f
+    m = gen_inner_random_phase(n, rng)
+    s = gen_pilots(t) if pilots else gen_qam(t, 16, rng)
+    f = gen_dft_training(p, n)
     x = build_rank_one(s, m)
     return h, m, s, f, x
 
@@ -71,13 +71,17 @@ def test_closed_form_symbol_update_equals_pseudoinverse_form():
 
 def test_closed_forms_reject_non_semi_unitary_training():
     h, m, s, f, x = _scene(0)
-    bad_f = gen_lorentzian_training(8, 5, np.random.default_rng(0)).f
-    y = build_noiseless(h, x, bad_f).y
     m_tilde, h_tilde = oracle_weights(h, m)
-    with pytest.raises(ValueError):
-        semi_unitary_h(unfold_mode1(y), bad_f, x, m_tilde)
-    with pytest.raises(ValueError):
-        semi_unitary_x(unfold_mode2(y), bad_f, h, h_tilde)
+    # Only the shared DFT array itself skips the check: a writable copy
+    # with one entry off by 1e-3 is checked and rejected like any other.
+    near_dft = np.array(gen_dft_training(8, 5))
+    near_dft[3, 2] += 1e-3
+    for bad_f in (gen_lorentzian_training(8, 5, np.random.default_rng(0)), near_dft):
+        y = build_noiseless(h, x, bad_f).y
+        with pytest.raises(ValueError, match="not semi-unitary"):
+            semi_unitary_h(unfold_mode1(y), bad_f, x, m_tilde)
+        with pytest.raises(ValueError, match="not semi-unitary"):
+            semi_unitary_x(unfold_mode2(y), bad_f, h, h_tilde)
 
 
 def test_weight_validation():
@@ -169,10 +173,10 @@ def test_matched_filters_equal_their_khatri_rao_formulas(k, t, p, n):
     # explicit Khatri-Rao product.
     rng = np.random.default_rng(k * 1000 + p)
     h = gen_wireless(k, n, rng)
-    m = gen_inner_random_phase(n, rng).m
-    s = gen_qam(t, 16, rng).s
-    pilots = gen_pilots(t).s
-    f = gen_dft_training(p, n).f
+    m = gen_inner_random_phase(n, rng)
+    s = gen_qam(t, 16, rng)
+    pilots = gen_pilots(t)
+    f = gen_dft_training(p, n)
     y = add_noise(
         build_noiseless(h, build_rank_one(s, m), f), 5.0, rng
     ).y
@@ -204,14 +208,14 @@ def test_matched_filters_equal_their_khatri_rao_formulas(k, t, p, n):
 
 
 def test_deterministic_trial_constants_are_built_once_and_read_only():
-    f = gen_dft_training(8, 5).f
-    assert gen_dft_training(8, 5).f is f
+    f = gen_dft_training(8, 5)
+    assert gen_dft_training(8, 5) is f
     alphabet = qam_alphabet(16)
     assert qam_alphabet(16) is alphabet
     for shared in (f, alphabet):
         with pytest.raises(ValueError):
             shared[0] = 0.0
     # Draws from the shared alphabet are fresh, writable arrays.
-    block = gen_qam(4, 16, np.random.default_rng(0)).s
+    block = gen_qam(4, 16, np.random.default_rng(0))
     block[0] = 0.0
     assert alphabet[0] != 0.0

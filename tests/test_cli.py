@@ -165,10 +165,30 @@ def test_sweep_without_sweep_keys_is_a_config_error(tiny_config, tmp_path, capsy
     capsys.readouterr()
 
 
-def test_selftest_passes(capsys):
-    assert main(["selftest"]) == 0
+def test_sweep_with_an_empty_sweep_list_is_a_config_error(tiny_config, tmp_path, capsys):
+    with open(tiny_config, "a", encoding="utf-8") as fh:
+        fh.write("sweep_K =\n")
+    out = tmp_path / "sweeps"
+    assert main(["sweep", str(tiny_config), "--out", str(out)]) == EXIT_CONFIG
     captured = capsys.readouterr()
-    assert "all checks passed" in captured.out
+    assert json.loads(captured.err)["error"] == "config"
+    assert "swept" not in captured.out
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_utf8_config_is_a_config_error(command, tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(TINY.encode("utf-8") + "# d\u00e9j\u00e0 vu\n".encode("latin-1"))
+    out = tmp_path / "out"
+    argv = [command, str(path)] + (["--out", str(out)] if command == "run" else [])
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    detail = json.loads(err)
+    assert detail["error"] == "config"
+    assert "UTF-8" in detail["detail"]
+    assert not out.exists()
 
 
 def test_import_leaves_scipy_unloaded():

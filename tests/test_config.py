@@ -67,6 +67,9 @@ def test_parser_accepts_comma_grids():
         "no equals sign here",
         "sweep_snr_grid_db = 0,5",
         "noiseless = maybe",
+        "sweep_K = 4\nsweep_K = 2",
+        "sweep_K =",
+        "sweep_K = , ,",
     ],
 )
 def test_parser_rejects_malformed_lines(line):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dmasim.tensor_ops import (
     NumericalError,
-    dominant_triplet,
     khatri_rao,
     parafac_build,
     pinv,
@@ -140,34 +139,3 @@ def test_pinv_rejects_non_finite_input():
     with pytest.raises(NumericalError):
         pinv(a)
 
-
-def test_dominant_triplet_recovers_rank_one_exactly():
-    rng = np.random.default_rng(5)
-    u_true = rand_cn(rng, 6)
-    v_true = rand_cn(rng, 4)
-    a = np.outer(u_true, v_true.conj())
-    sigma, u, v = dominant_triplet(a)
-    rebuilt = sigma * np.outer(u, v.conj())
-    assert relerr(rebuilt, a) < 1e-12
-
-
-def test_dominant_triplet_matches_full_svd():
-    a = rand_cn(np.random.default_rng(11), 5, 7)
-    sigma, u, v = dominant_triplet(a)
-    u_ref, s_ref, vh_ref = np.linalg.svd(a)
-    assert sigma == pytest.approx(s_ref[0], rel=1e-12)
-    # Columns agree up to a unit phase.
-    phase = np.vdot(u_ref[:, 0], u)
-    assert abs(abs(phase) - 1.0) < 1e-10
-    np.testing.assert_allclose(u, phase * u_ref[:, 0], atol=1e-10)
-    np.testing.assert_allclose(
-        v, phase * vh_ref[0].conj(), atol=1e-10
-    )
-
-
-def test_dominant_triplet_residual_has_second_singular_value_norm():
-    a = rand_cn(np.random.default_rng(12), 4, 4)
-    sigma, u, v = dominant_triplet(a)
-    residual = a - sigma * np.outer(u, v.conj())
-    s_ref = np.linalg.svd(a, compute_uv=False)
-    assert np.linalg.norm(residual, 2) == pytest.approx(s_ref[1], rel=1e-10)
