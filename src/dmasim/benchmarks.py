@@ -14,8 +14,6 @@ estimators at the bottom document exactly which quantities are oracle-fed
 so campaign comparisons stay honestly labelled.
 """
 
-import time
-
 import numpy as np
 
 from .channels import gen_dft_training
@@ -160,7 +158,6 @@ def data_aided_estimate(
     exactly like the iterative receiver's second stage.  One-shot: the
     report's residual trace is empty.
     """
-    t0 = time.perf_counter()
     m_tilde, h_tilde = oracle_weights(h_true, m_true)
     y1 = unfold_mode1(y)
     y2 = unfold_mode2(y)
@@ -170,14 +167,12 @@ def data_aided_estimate(
     h_out, s_out, m_out = remove_ambiguity(
         h_hat, split.s_hat, split.m_hat, s1_ref
     )
-    runtime = time.perf_counter() - t0
     return EstimateReport(
         h_hat=h_out,
         m_hat=m_out,
         s_hat=s_out,
         iterations=1,
         residual_trace=np.empty(0),
-        runtime_s=runtime,
         converged=True,
         rank1_degenerate=split.degenerate,
     )
@@ -197,20 +192,17 @@ def pilot_aided_estimate(
     the pilot block itself is known by design.  One-shot: the report's
     residual trace is empty.
     """
-    t0 = time.perf_counter()
     m_tilde, h_tilde = oracle_weights(h_true, m_true)
     y1 = unfold_mode1(y)
     y2 = unfold_mode2(y)
     h_hat = pilot_aided_h(y1, f, pilots, m_true, m_tilde)
     m_hat = pilot_aided_m(y2, f, h_true, h_tilde, pilots)
-    runtime = time.perf_counter() - t0
     return EstimateReport(
         h_hat=h_hat,
         m_hat=m_hat,
         s_hat=np.array(pilots, dtype=complex),
         iterations=1,
         residual_trace=np.empty(0),
-        runtime_s=runtime,
         converged=True,
         rank1_degenerate=False,
     )

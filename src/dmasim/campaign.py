@@ -1,5 +1,10 @@
 """Monte Carlo campaign driver.
 
+Each trial runs three stages: ``draw_scene`` draws the ground truth and
+builds its noisy received tensor, ``estimate`` runs the configured receiver
+on it, and ``score`` compares the estimates with the ground truth.
+``run_trial`` chains them and times the estimate stage alone.
+
 Determinism contract: every trial derives its own generators from
 ``default_rng([seed, snr_index, trial_index, quantity_tag])``, one
 generator per random quantity (channel, inner response, symbols, training,
@@ -18,9 +23,12 @@ squares, applied to both, and recorded in the CSV header as
 """
 
 import dataclasses
+import functools
 import json
 import math
 import os
+import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,6 +50,7 @@ from .config import ExperimentConfig, config_sha, validate_config
 from .metrics import diagonal_fit, nmse, ser, to_db
 from .receiver import (
     BalsConfig,
+    EstimateReport,
     EstimationError,
     flop_estimate,
     two_stage_estimate,
@@ -51,7 +60,18 @@ from .signals import add_noise, build_noiseless, build_rank_one
 # RNG substream tags, one per random quantity drawn in a trial.
 _TAG_CHANNEL, _TAG_INNER, _TAG_SYMBOLS, _TAG_TRAINING, _TAG_NOISE, _TAG_INIT = range(6)
 
-CSV_HEADER = "snr_db,nmse_H_db,nmse_m_db,ser,mean_iters,mean_runtime_s,trials,failed"
+# (output column, MetricRow field) in CSV order; the summary rows add two more.
+_COLUMNS = (
+    ("snr_db", "snr_db"),
+    ("nmse_H_db", "nmse_h_db"),
+    ("nmse_m_db", "nmse_m_db"),
+    ("ser", "ser"),
+    ("mean_iters", "mean_iters"),
+    ("mean_runtime_s", "mean_runtime_s"),
+    ("trials", "trials"),
+    ("failed", "failed"),
+)
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 CSV_SCHEMA = "dmasim-results-v1"
 SUMMARY_SCHEMA = "dmasim-summary-v2"
 NMSE_FIT_LABEL = "shared-diagonal"
@@ -82,121 +102,130 @@ class MetricRow:
     failure_categories: dict
 
 
+@dataclass(frozen=True)
+class Scene:
+    """The ground truth of one trial and its noisy received tensor."""
+
+    h: np.ndarray  # channel (K, N)
+    m: np.ndarray  # inner response (N,)
+    s: np.ndarray  # symbols, or the pilot block (T,)
+    x: np.ndarray  # symbol block outer(s, m) (T, N)
+    f: np.ndarray  # training (P, N)
+    y: np.ndarray  # received tensor (K, T, P)
+    snr_idx: int
+    trial: int
+
+
 def _trial_rng(seed: int, snr_idx: int, trial: int, tag: int) -> np.random.Generator:
     return np.random.default_rng([seed, snr_idx, trial, tag])
 
 
-def _draw_inner(cfg: ExperimentConfig, rng: np.random.Generator):
-    if cfg.inner_model == "physical":
-        return gen_inner_physical(cfg.D, cfg.L, cfg.alpha, cfg.beta, cfg.spacing)
-    return gen_inner_random_phase(cfg.N, rng)
-
-
-def run_trial(
+def draw_scene(
     cfg: ExperimentConfig, snr_db: float, snr_idx: int, trial: int
-) -> TrialResult:
-    """One Monte Carlo trial: draw a scene, run the configured receiver,
-    score it against the ground truth."""
-    try:
-        h_true = gen_wireless(
-            cfg.K, cfg.N, _trial_rng(cfg.seed, snr_idx, trial, _TAG_CHANNEL)
+) -> Scene:
+    """Draw one trial's ground truth and build its received tensor at
+    ``snr_db``; the bench-pilot-aided receiver sends the pilot block."""
+    rng = functools.partial(_trial_rng, cfg.seed, snr_idx, trial)
+    h = gen_wireless(cfg.K, cfg.N, rng(_TAG_CHANNEL))
+    if cfg.inner_model == "physical":
+        m = gen_inner_physical(cfg.D, cfg.L, cfg.alpha, cfg.beta, cfg.spacing)
+    else:
+        m = gen_inner_random_phase(cfg.N, rng(_TAG_INNER))
+    if cfg.receiver == "bench-pilot-aided":
+        s = gen_pilots(cfg.T)
+    else:
+        s = gen_qam(cfg.T, cfg.qam_order, rng(_TAG_SYMBOLS))
+    if cfg.training == "lorentzian":
+        f = gen_lorentzian_training(cfg.P, cfg.N, rng(_TAG_TRAINING))
+    else:
+        f = gen_dft_training(cfg.P, cfg.N)
+    x = build_rank_one(s, m)
+    y = add_noise(build_noiseless(h, x, f), snr_db, rng(_TAG_NOISE)).y
+    return Scene(h=h, m=m, s=s, x=x, f=f, y=y, snr_idx=snr_idx, trial=trial)
+
+
+def estimate(cfg: ExperimentConfig, scene: Scene) -> EstimateReport:
+    """Run the configured receiver on the scene's received tensor.  The
+    closed-form references read their oracle inputs from the scene."""
+    if cfg.receiver == "proposed":
+        return two_stage_estimate(
+            scene.y, scene.f, s1_ref=scene.s[0],
+            cfg=BalsConfig(max_iters=cfg.max_iters, tol=cfg.tol, rcond=cfg.rcond),
+            rng=_trial_rng(cfg.seed, scene.snr_idx, scene.trial, _TAG_INIT),
         )
-        m_true = _draw_inner(cfg, _trial_rng(cfg.seed, snr_idx, trial, _TAG_INNER))
-        pilot_mode = cfg.receiver == "bench-pilot-aided"
-        if pilot_mode:
-            s_true = gen_pilots(cfg.T)
-        else:
-            s_true = gen_qam(
-                cfg.T, cfg.qam_order,
-                _trial_rng(cfg.seed, snr_idx, trial, _TAG_SYMBOLS),
-            )
-        if cfg.training == "lorentzian":
-            f = gen_lorentzian_training(
-                cfg.P, cfg.N, _trial_rng(cfg.seed, snr_idx, trial, _TAG_TRAINING)
-            )
-        else:
-            f = gen_dft_training(cfg.P, cfg.N)
-        x_true = build_rank_one(s_true, m_true)
-        rt = build_noiseless(h_true, x_true, f)
-        rt = add_noise(rt, snr_db, _trial_rng(cfg.seed, snr_idx, trial, _TAG_NOISE))
+    if cfg.receiver == "bench-data-aided":
+        return data_aided_estimate(
+            scene.y, scene.f, x_true=scene.x, h_true=scene.h, m_true=scene.m,
+            s1_ref=scene.s[0],
+        )
+    return pilot_aided_estimate(
+        scene.y, scene.f, h_true=scene.h, m_true=scene.m, pilots=scene.s
+    )
 
-        if cfg.receiver == "proposed":
-            report = two_stage_estimate(
-                rt.y,
-                f,
-                s1_ref=s_true[0],
-                cfg=BalsConfig(
-                    max_iters=cfg.max_iters, tol=cfg.tol, rcond=cfg.rcond
-                ),
-                rng=_trial_rng(cfg.seed, snr_idx, trial, _TAG_INIT),
-            )
-        elif cfg.receiver == "bench-data-aided":
-            report = data_aided_estimate(
-                rt.y, f, x_true=x_true, h_true=h_true, m_true=m_true,
-                s1_ref=s_true[0],
-            )
-        else:
-            report = pilot_aided_estimate(
-                rt.y, f, h_true=h_true, m_true=m_true, pilots=s_true
-            )
-    except (GenerationError, EstimationError) as exc:
-        return TrialResult(failed=type(exc).__name__)
 
-    # Shared-diagonal metric protocol: one per-column scaling, fitted on the
-    # channel estimate, applied consistently to both coupled estimates.
-    delta = diagonal_fit(report.h_hat, h_true)
+def score(
+    cfg: ExperimentConfig, scene: Scene, report: EstimateReport, runtime_s: float
+) -> TrialResult:
+    """Score the estimates against the scene's ground truth under the
+    shared-diagonal protocol: one per-column scaling, fitted on the channel
+    estimate, applied consistently to both coupled estimates."""
+    delta = diagonal_fit(report.h_hat, scene.h)
     with np.errstate(divide="ignore", invalid="ignore"):
-        nmse_h = nmse(report.h_hat * delta, h_true)
+        nmse_h = nmse(report.h_hat * delta, scene.h)
         m_corr = np.where(delta != 0, report.m_hat / delta, np.inf)
-        nmse_m = nmse(m_corr, m_true)
+        nmse_m = nmse(m_corr, scene.m)
     if not (np.isfinite(nmse_h) and np.isfinite(nmse_m)):
         return TrialResult(failed="DegenerateMetricFit")
     trial_ser = (
         math.nan
-        if pilot_mode
-        else ser(report.s_hat, s_true, cfg.qam_order, anchor_index=0)
+        if cfg.receiver == "bench-pilot-aided"
+        else ser(report.s_hat, scene.s, cfg.qam_order, anchor_index=0)
     )
     return TrialResult(
         nmse_h=nmse_h,
         nmse_m=nmse_m,
         ser=trial_ser,
         iterations=report.iterations,
-        runtime_s=report.runtime_s,
+        runtime_s=runtime_s,
         converged=report.converged,
-        failed=None,
     )
+
+
+def run_trial(
+    cfg: ExperimentConfig, snr_db: float, snr_idx: int, trial: int
+) -> TrialResult:
+    """One Monte Carlo trial: draw the scene, estimate, score.  The runtime
+    is the wall-clock time of the estimate stage alone."""
+    try:
+        scene = draw_scene(cfg, snr_db, snr_idx, trial)
+        t0 = time.perf_counter()
+        report = estimate(cfg, scene)
+        runtime_s = time.perf_counter() - t0
+    except (GenerationError, EstimationError) as exc:
+        return TrialResult(failed=type(exc).__name__)
+    return score(cfg, scene, report, runtime_s)
 
 
 def _aggregate(snr_db: float, trials: list[TrialResult]) -> MetricRow:
     good = [t for t in trials if t.failed is None]
-    failed = [t for t in trials if t.failed is not None]
-    categories: dict = {}
-    for t in failed:
-        categories[t.failed] = categories.get(t.failed, 0) + 1
-    if good:
-        nmse_h_db = to_db(float(np.mean([t.nmse_h for t in good])))
-        nmse_m_db = to_db(float(np.mean([t.nmse_m for t in good])))
-        sers = [t.ser for t in good]
-        mean_ser = math.nan if all(math.isnan(v) for v in sers) else float(
-            np.mean(sers)
-        )
-        mean_iters = float(np.mean([t.iterations for t in good]))
-        mean_runtime = float(np.mean([t.runtime_s for t in good]))
-        converged_fraction = float(np.mean([t.converged for t in good]))
-    else:
-        nmse_h_db = nmse_m_db = mean_ser = mean_iters = mean_runtime = math.nan
-        converged_fraction = math.nan
+    failed = [t.failed for t in trials if t.failed is not None]
+
+    def mean(field: str) -> float:
+        # NaN when no trial survived.
+        return float(np.mean([getattr(t, field) for t in good])) if good else math.nan
+
+    no_ser = all(math.isnan(t.ser) for t in good)  # pilot blocks carry no SER
     return MetricRow(
         snr_db=snr_db,
-        nmse_h_db=nmse_h_db,
-        nmse_m_db=nmse_m_db,
-        ser=mean_ser,
-        mean_iters=mean_iters,
-        mean_runtime_s=mean_runtime,
+        nmse_h_db=to_db(mean("nmse_h")),
+        nmse_m_db=to_db(mean("nmse_m")),
+        ser=math.nan if no_ser else mean("ser"),
+        mean_iters=mean("iterations"),
+        mean_runtime_s=mean("runtime_s"),
         trials=len(good),
         failed=len(failed),
-        converged_fraction=converged_fraction,
-        failure_categories=categories,
+        converged_fraction=mean("converged"),
+        failure_categories=dict(Counter(failed)),
     )
 
 
@@ -212,21 +241,20 @@ def run_campaign(
     validate_config(cfg)
     grid = snr_grid(cfg)
     tasks = [(si, ti) for si in range(len(grid)) for ti in range(cfg.trials)]
-    results: list[list[TrialResult | None]] = [
-        [None] * cfg.trials for _ in grid
-    ]
+
+    def trial(task: tuple[int, int]) -> TrialResult:
+        return run_trial(cfg, grid[task[0]], *task)
+
     if cfg.threads == 1:
-        for si, ti in tasks:
-            results[si][ti] = run_trial(cfg, grid[si], si, ti)
+        results = list(map(trial, tasks))
     else:
         with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            out = pool.map(
-                lambda args: run_trial(cfg, grid[args[0]], args[0], args[1]),
-                tasks,
-            )
-            for (si, ti), res in zip(tasks, out):
-                results[si][ti] = res
-    rows = [_aggregate(grid[si], results[si]) for si in range(len(grid))]
+            results = list(pool.map(trial, tasks))
+    # Both maps keep task order: all trials of one SNR point, then the next.
+    rows = [
+        _aggregate(snr, results[si * cfg.trials:(si + 1) * cfg.trials])
+        for si, snr in enumerate(grid)
+    ]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_results_csv(os.path.join(out_dir, "results.csv"), rows, cfg)
@@ -249,21 +277,9 @@ def render_csv(rows: list[MetricRow], cfg: ExperimentConfig) -> str:
     )
     lines = [meta, CSV_HEADER]
     for row in rows:
-        runtime = row.mean_runtime_s if cfg.timing else math.nan
-        lines.append(
-            ",".join(
-                (
-                    _fmt(row.snr_db),
-                    _fmt(row.nmse_h_db),
-                    _fmt(row.nmse_m_db),
-                    _fmt(row.ser),
-                    _fmt(row.mean_iters),
-                    _fmt(runtime),
-                    _fmt(row.trials),
-                    _fmt(row.failed),
-                )
-            )
-        )
+        if not cfg.timing:
+            row = dataclasses.replace(row, mean_runtime_s=math.nan)
+        lines.append(",".join(_fmt(getattr(row, field)) for _, field in _COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -301,14 +317,7 @@ def summary_dict(rows: list[MetricRow], cfg: ExperimentConfig) -> dict:
         "wall_clock_fields_nondeterministic": ["rows[].mean_runtime_s"],
         "rows": [
             {
-                "snr_db": row.snr_db,
-                "nmse_H_db": row.nmse_h_db,
-                "nmse_m_db": row.nmse_m_db,
-                "ser": row.ser,
-                "mean_iters": row.mean_iters,
-                "mean_runtime_s": row.mean_runtime_s,
-                "trials": row.trials,
-                "failed": row.failed,
+                **{name: getattr(row, field) for name, field in _COLUMNS},
                 "converged_fraction": row.converged_fraction,
                 "failure_categories": row.failure_categories,
             }

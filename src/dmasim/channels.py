@@ -148,11 +148,15 @@ def gen_qam(t: int, order: int, rng: np.random.Generator) -> np.ndarray:
     return alphabet[idx]
 
 
+@functools.lru_cache
 def gen_pilots(t: int) -> np.ndarray:
-    """Deterministic unit-modulus pilot block s[t_idx] = exp(1j*t_idx/t)."""
+    """Deterministic unit-modulus pilot block s[t_idx] = exp(1j*t_idx/t),
+    built once per t and shared, so the returned array is read-only."""
     if t < 1:
         raise ValueError("t must be positive")
-    return np.exp(1j * np.arange(t) / t)
+    pilots = np.exp(1j * np.arange(t) / t)
+    pilots.flags.writeable = False
+    return pilots
 
 
 def qam_demap(s_hat: np.ndarray, order: int) -> np.ndarray:

@@ -66,6 +66,7 @@ def _cmd_validate(args) -> int:
     cfg, sweeps = load_config_file(args.config)
     cfg = _apply_overrides(cfg, args)
     warnings = validate_config(cfg)
+    _sweep_points(cfg, sweeps)
     pre = identifiability_preflight(cfg.K, cfg.T, cfg.P, cfg.N)
     report = {
         "config_ok": True,
@@ -86,6 +87,17 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+def _sweep_points(cfg, sweeps) -> list:
+    """Validated (tag, config) for every point of the declared grid."""
+    names = sorted(sweeps)
+    points = []
+    for combo in itertools.product(*(sweeps[name] for name in names)):
+        sub = dataclasses.replace(cfg, **dict(zip(names, combo)))
+        validate_config(sub)
+        points.append(("_".join(f"{k}={v}" for k, v in zip(names, combo)), sub))
+    return points
+
+
 def _cmd_sweep(args) -> int:
     cfg, sweeps = load_config_file(args.config)
     cfg = _apply_overrides(cfg, args)
@@ -93,18 +105,12 @@ def _cmd_sweep(args) -> int:
         return _fail(
             "config", "sweep requires at least one sweep_<field> key", EXIT_CONFIG
         )
-    names = sorted(sweeps)
-    total = 0
-    for combo in itertools.product(*(sweeps[name] for name in names)):
-        point = dict(zip(names, combo))
-        sub = dataclasses.replace(cfg, **point)
-        validate_config(sub)
-        tag = "_".join(f"{k}={v}" for k, v in sorted(point.items()))
+    points = _sweep_points(cfg, sweeps)
+    for tag, sub in points:
         out_dir = f"{args.out}/{tag}"
         run_campaign(sub, out_dir=out_dir)
         print(f"wrote {out_dir}/results.csv")
-        total += 1
-    print(f"swept {total} configurations")
+    print(f"swept {len(points)} configurations")
     return 0
 
 

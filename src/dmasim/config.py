@@ -53,14 +53,7 @@ class ExperimentConfig:
     timing: bool = True
 
 
-_BOOL_FIELDS = {"noiseless", "timing"}
-_INT_FIELDS = {
-    "K", "T", "P", "N", "D", "L", "trials", "qam_order", "seed",
-    "max_iters", "threads",
-}
-_FLOAT_FIELDS = {"alpha", "beta", "spacing", "tol", "rcond"}
-_STR_FIELDS = {"receiver", "training", "inner_model"}
-_FIELD_NAMES = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
 
 
 def _parse_bool(raw: str, key: str) -> bool:
@@ -93,24 +86,20 @@ def _parse_snr_grid(raw: str) -> tuple[float, ...]:
 
 
 def coerce_value(key: str, raw: str):
-    """Convert one raw config string to the typed value for ``key``."""
+    """Convert one raw config string to the type ``ExperimentConfig``
+    declares for ``key``."""
+    kind = _FIELD_TYPES.get(key)
+    if kind is None:
+        raise ConfigError(f"unknown config key {key!r}")
     raw = raw.strip()
     try:
         if key == "snr_grid_db":
             return _parse_snr_grid(raw)
-        if key in _BOOL_FIELDS:
-            return _parse_bool(raw, key)
-        if key in _INT_FIELDS:
-            return int(raw)
-        if key in _FLOAT_FIELDS:
-            return float(raw)
-        if key in _STR_FIELDS:
-            return raw
+        return _parse_bool(raw, key) if kind is bool else kind(raw)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    raise ConfigError(f"unknown config key {key!r}")
 
 
 def parse_config_text(text: str) -> tuple[dict, dict]:
@@ -126,7 +115,7 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key.startswith("sweep_"):
             target = key[len("sweep_"):]
-            if target not in _FIELD_NAMES or target == "snr_grid_db":
+            if target not in _FIELD_TYPES or target == "snr_grid_db":
                 raise ConfigError(f"line {lineno}: cannot sweep {target!r}")
             if target in sweeps:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
@@ -136,7 +125,7 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
             if not sweeps[target]:
                 raise ConfigError(f"line {lineno}: {key} lists no values")
             continue
-        if key not in _FIELD_NAMES:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")

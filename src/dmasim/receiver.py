@@ -8,7 +8,6 @@ triplet, and a single known reference symbol removes the residual scalar
 ambiguity.
 """
 
-import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -78,7 +77,6 @@ class EstimateReport:
     s_hat: np.ndarray
     iterations: int
     residual_trace: np.ndarray
-    runtime_s: float
     converged: bool
     rank1_degenerate: bool
 
@@ -277,24 +275,18 @@ def two_stage_estimate(
     cfg: BalsConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> EstimateReport:
-    """Full receiver: alternating-LS stage, rank-one split, ambiguity fix.
-
-    ``runtime_s`` is the wall-clock time of the estimation work only (the
-    caller generates the data)."""
-    t0 = time.perf_counter()
+    """Full receiver: alternating-LS stage, rank-one split, ambiguity fix."""
     res = bals(y, f, cfg=cfg, rng=rng)
     split = rank1_factorize(res.x_hat)
     h_out, s_out, m_out = remove_ambiguity(
         res.h_hat, split.s_hat, split.m_hat, s1_ref
     )
-    runtime = time.perf_counter() - t0
     return EstimateReport(
         h_hat=h_out,
         m_hat=m_out,
         s_hat=s_out,
         iterations=len(res.residuals),
         residual_trace=res.residuals,
-        runtime_s=runtime,
         converged=res.converged,
         rank1_degenerate=split.degenerate,
     )

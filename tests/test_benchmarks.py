@@ -212,7 +212,9 @@ def test_deterministic_trial_constants_are_built_once_and_read_only():
     assert gen_dft_training(8, 5) is f
     alphabet = qam_alphabet(16)
     assert qam_alphabet(16) is alphabet
-    for shared in (f, alphabet):
+    pilots = gen_pilots(6)
+    assert gen_pilots(6) is pilots
+    for shared in (f, alphabet, pilots):
         with pytest.raises(ValueError):
             shared[0] = 0.0
     # Draws from the shared alphabet are fresh, writable arrays.

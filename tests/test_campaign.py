@@ -13,15 +13,18 @@ from dmasim.campaign import (
     TrialResult,
     _aggregate,
     _trial_rng,
+    draw_scene,
     render_csv,
     run_campaign,
     run_trial,
+    score,
     snr_grid,
     summary_dict,
     write_results_csv,
     write_summary_json,
 )
-from dmasim.config import ExperimentConfig
+from dmasim.config import RECEIVERS, ExperimentConfig
+from dmasim.receiver import EstimateReport
 
 
 def _tiny(**over):
@@ -62,6 +65,7 @@ def test_run_trial_produces_finite_metrics(receiver, training):
     assert math.isfinite(tr.nmse_m) and tr.nmse_m > 0
     assert tr.iterations >= 1
     assert tr.converged
+    assert tr.runtime_s >= 0.0
     if receiver == "bench-pilot-aided":
         assert math.isnan(tr.ser)
     else:
@@ -79,6 +83,36 @@ def test_run_trial_draws_the_same_scene_for_every_receiver():
     # Same scene, same noise: the data-aided closed form must beat the
     # blind receiver on this very draw (its design matrices are exact).
     assert b.nmse_h < a.nmse_h
+
+
+def test_draw_scene_is_the_same_for_every_receiver():
+    scenes = {
+        receiver: draw_scene(
+            _tiny(receiver=receiver, training="semi-unitary-dft"), 10.0, 1, 2
+        )
+        for receiver in RECEIVERS
+    }
+    ref = scenes["proposed"]
+    for scene in scenes.values():
+        for name in ("h", "m", "f"):
+            np.testing.assert_array_equal(getattr(scene, name), getattr(ref, name))
+    # Only the pilot-aided receiver sends another symbol block.
+    np.testing.assert_array_equal(scenes["bench-data-aided"].y, ref.y)
+
+
+def test_score_flags_a_zero_channel_column_as_a_degenerate_fit():
+    cfg = _tiny()
+    scene = draw_scene(cfg, 10.0, 0, 0)
+    exact = EstimateReport(
+        h_hat=scene.h, m_hat=scene.m, s_hat=scene.s, iterations=1,
+        residual_trace=np.empty(0), converged=True, rank1_degenerate=False,
+    )
+    assert score(cfg, scene, exact, 0.0).failed is None
+    h_hat = scene.h.copy()
+    h_hat[:, 0] = 0.0
+    tr = score(cfg, scene, dataclasses.replace(exact, h_hat=h_hat), 0.0)
+    assert tr.failed == "DegenerateMetricFit"
+    assert math.isnan(tr.nmse_h)
 
 
 def test_run_trial_counts_generation_failures():

@@ -176,6 +176,25 @@ def test_sweep_with_an_empty_sweep_list_is_a_config_error(tiny_config, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_an_invalid_sweep_point_fails_before_any_campaign(command, tmp_path, capsys):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(
+        TINY.replace("training = lorentzian", "training = semi-unitary-dft")
+        + "sweep_P = 8, 2\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "sweeps"
+    argv = [command, str(path)] + (["--out", str(out)] if command == "sweep" else [])
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = json.loads(captured.err)
+    assert err["error"] == "config"
+    assert "P >= N" in err["detail"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_non_utf8_config_is_a_config_error(command, tmp_path, capsys):
     path = tmp_path / "latin1.cfg"

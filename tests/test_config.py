@@ -70,11 +70,14 @@ def test_parser_accepts_comma_grids():
         "sweep_K = 4\nsweep_K = 2",
         "sweep_K =",
         "sweep_K = , ,",
+        "K = 3.5",
     ],
 )
 def test_parser_rejects_malformed_lines(line):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as info:
         parse_config_text(line + "\n")
+    if "=" in line:  # the message names the offending key
+        assert line.split("=")[0].strip().removeprefix("sweep_") in str(info.value)
 
 
 _UNDERFLOW = {
