@@ -66,7 +66,8 @@ def _cmd_validate(args) -> int:
     cfg, sweeps = load_config_file(args.config)
     cfg = _apply_overrides(cfg, args)
     warnings = validate_config(cfg)
-    _sweep_points(cfg, sweeps)
+    for tag, _, point_warnings in _sweep_points(cfg, sweeps):
+        warnings += [f"{tag}: {warning}" for warning in point_warnings]
     pre = identifiability_preflight(cfg.K, cfg.T, cfg.P, cfg.N)
     report = {
         "config_ok": True,
@@ -88,13 +89,14 @@ def _cmd_validate(args) -> int:
 
 
 def _sweep_points(cfg, sweeps) -> list:
-    """Validated (tag, config) for every point of the declared grid."""
+    """Validated (tag, config, advisory warnings) for every point of the
+    declared grid."""
     names = sorted(sweeps)
     points = []
     for combo in itertools.product(*(sweeps[name] for name in names)):
         sub = dataclasses.replace(cfg, **dict(zip(names, combo)))
-        validate_config(sub)
-        points.append(("_".join(f"{k}={v}" for k, v in zip(names, combo)), sub))
+        tag = "_".join(f"{k}={v}" for k, v in zip(names, combo))
+        points.append((tag, sub, validate_config(sub)))
     return points
 
 
@@ -106,7 +108,10 @@ def _cmd_sweep(args) -> int:
             "config", "sweep requires at least one sweep_<field> key", EXIT_CONFIG
         )
     points = _sweep_points(cfg, sweeps)
-    for tag, sub in points:
+    for tag, _, point_warnings in points:
+        for warning in point_warnings:
+            print(f"warning: {tag}: {warning}", file=sys.stderr)
+    for tag, sub, _ in points:
         out_dir = f"{args.out}/{tag}"
         run_campaign(sub, out_dir=out_dir)
         print(f"wrote {out_dir}/results.csv")

@@ -8,6 +8,7 @@ triplet, and a single known reference symbol removes the residual scalar
 ambiguity.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -32,8 +33,20 @@ class EstimationError(RuntimeError):
 # the inverse square of this ratio (1e6 here), and the normal equations lose
 # about cond * eps relative accuracy, so below it a half-step takes the
 # pseudo-inverse path instead.  Over the desk campaign (seeds 0 and 1) the
-# smallest ratio seen is 5e-3.
+# smallest ratio seen is 5e-3.  The factorisation runs only on half-steps
+# the Schur bound below cannot certify.
 CHOLESKY_DIAG_RATIO = 1e-3
+
+# Schur product theorem (Horn & Johnson, Topics in Matrix Analysis, sec.
+# 5.3): for positive semidefinite A and B, the eigenvalues of A o B lie in
+# [lambda_min(A) min_i B_ii, lambda_max(A) max_i B_ii], and the squared
+# Cholesky diagonal of A o B lies within its eigenvalue range.  So a Gram
+# (F^T F*) o B whose bound cond(F^T F*) * max_i B_ii / min_i B_ii is at most
+# CHOLESKY_DIAG_RATIO**-2 passes the diagonal test; certifying at a tenth of
+# that leaves a margin for roundoff.  The lower bound must also stay clear of
+# the subnormal range, where the Gram's entries lose relative accuracy.
+_SCHUR_COND_BOUND = 0.1 / CHOLESKY_DIAG_RATIO**2
+_SCHUR_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -81,24 +94,46 @@ class EstimateReport:
     rank1_degenerate: bool
 
 
-def _normal_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+def _schur_certified(gf_eig: list[float], factor_gram: np.ndarray) -> bool:
+    """Whether the Gram ``(F^T F*) o factor_gram`` is certain to pass the
+    Cholesky guard, from the extreme eigenvalues ``gf_eig`` of ``F^T F*``
+    and the diagonal of ``factor_gram`` (``X^T X*`` or ``H^T H*``; see
+    ``_SCHUR_COND_BOUND``).  A NaN, a zero column or a singular ``F^T F*``
+    never certifies."""
+    # Python floats: N is small, and numpy's reductions cost more here than
+    # the arithmetic.  min and max may skip a NaN; the sum keeps it.
+    diag = factor_gram.diagonal().real.tolist()
+    low = gf_eig[0] * min(diag)
+    return (
+        low >= _SCHUR_FLOOR
+        and gf_eig[1] * max(diag) <= _SCHUR_COND_BOUND * low
+        and sum(diag) < math.inf
+    )
+
+
+def _normal_solve(
+    gram: np.ndarray, rhs: np.ndarray, certified: bool
+) -> np.ndarray | None:
     """``rhs @ inv(gram)`` for a Hermitian positive definite ``gram``.
 
-    The Cholesky factor ``gram = L @ L^H`` serves as the guard only: returns
-    None when it does not exist or its diagonal shows the Gram too
-    ill-conditioned to trust (see ``CHOLESKY_DIAG_RATIO``).  numpy has no
-    triangular solver, so one LU solve on the Gram is cheaper than two
-    general solves on the factor.
+    Unless the Schur bound has ``certified`` the Gram, a Cholesky factor
+    ``gram = L @ L^H`` serves as the guard only: returns None when it does
+    not exist or its diagonal shows the Gram too ill-conditioned to trust
+    (see ``CHOLESKY_DIAG_RATIO``).  A certified Gram would pass that test,
+    so it goes straight to the solve and gives the same result bit for bit.
+    numpy has no triangular solver, so one LU solve on the Gram is cheaper
+    than two general solves on the factor.
     """
-    try:
-        low = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        return None
-    diag = low.diagonal().real
-    if not diag.min() >= CHOLESKY_DIAG_RATIO * diag.max():  # NaN fails too
-        return None
-    # A @ gram = rhs  <=>  gram @ A^H = rhs^H, as gram is Hermitian.
-    return np.linalg.solve(gram, rhs.conj().T).conj().T
+    if not certified:
+        try:
+            low = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+        diag = low.diagonal().real
+        if not diag.min() >= CHOLESKY_DIAG_RATIO * diag.max():  # NaN fails too
+            return None
+    # A @ gram = rhs  <=>  gram^T @ A^T = rhs^T, and gram^T = conj(gram).
+    return np.linalg.solve(gram.conj(), rhs.T).T
 
 
 def normal_rhs(yf: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
@@ -110,8 +145,13 @@ def normal_rhs(yf: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
     ``factor``; mode 2 (the symbol-block update) contracts the subcarrier
     axis with the (K, N) ``factor``.
     """
+    return _conj_rhs(yf, factor.conj(), mode)
+
+
+def _conj_rhs(yf: np.ndarray, factor_conj: np.ndarray, mode: int) -> np.ndarray:
+    """``normal_rhs`` from the already conjugated factor."""
     spec = "ktn,tn->kn" if mode == 1 else "ktn,kn->tn"
-    return np.einsum(spec, yf, factor.conj())
+    return np.einsum(spec, yf, factor_conj)
 
 
 def bals(
@@ -123,10 +163,11 @@ def bals(
     """Alternating least-squares fit of (H, X) given the received block and F.
 
     Each half-step solves its N x N normal equations, guarded by a Cholesky
-    factor, and falls back to ``Y_unfolded @ pinv(khatri_rao(...).T, rcond)``
-    when the Gram is not safely positive definite.  After the per-trial
-    set-up the loop touches only N-dimensional data: the residual is taken
-    in the column space of F (see below).
+    factor unless the Schur bound certifies the Gram, and falls back to
+    ``Y_unfolded @ pinv(khatri_rao(...).T, rcond)`` when the Gram is not
+    safely positive definite.  After the per-trial set-up the loop touches
+    only N-dimensional data: the residual is taken in the column space of F
+    (see below).
 
     Parameters
     ----------
@@ -171,8 +212,13 @@ def bals(
     # 2009, sec. 3.4): the Gram of khatri_rao(F, X) is (F^T F*) o (X^T X*),
     # and Y1 @ khatri_rao(F, X)* contracts the training first, so the
     # training enters each iteration only through these two per-trial terms.
-    gf = f.T @ f.conj()
-    yf = y @ f.conj()  # (K, T, N)
+    y2 = y.reshape(k * t, p)
+    fc = f.conj()
+    gf = f.T @ fc
+    yf = (y2 @ fc).reshape(k, t, n)
+    # Extreme eigenvalues of F^T F*, for the Schur bound that lets most
+    # half-steps skip the Cholesky guard (see _SCHUR_COND_BOUND).
+    gf_eig = np.linalg.eigvalsh(gf)[[0, -1]].tolist()
     # The model's mode-3 fibres lie in the column space of F = Q R, so the
     # residual splits into the part of Y outside it, fixed per trial, and
     # an in-space part of dimension min(P, N):
@@ -181,31 +227,36 @@ def bals(
     # expansion would cancel catastrophically near an exact fit, where
     # eps_floor has to see it.
     q, r = np.linalg.qr(f)
-    yq = y @ q.conj()
-    perp2 = float(np.linalg.norm(y - yq @ q.T)) ** 2
+    yq2 = y2 @ q.conj()
+    perp2 = float(np.linalg.norm(y2 - yq2 @ q.T)) ** 2
+    yq = yq2.reshape(k, t, -1)
     h_hat = np.zeros((k, n), dtype=complex)
     residuals: list[float] = []
     converged = False
     prev = None
     for it in range(1, cfg.max_iters + 1):
         try:
+            # Each factor is conjugated once, for its Gram and the
+            # right-hand side.
+            xc = x_hat.conj()
+            gx = x_hat.T @ xc
             h_hat = _normal_solve(
-                gf * (x_hat.T @ x_hat.conj()),
-                normal_rhs(yf, x_hat, 1),
+                gf * gx, _conj_rhs(yf, xc, 1), _schur_certified(gf_eig, gx)
             )
             if h_hat is None:
                 h_hat = unfold_mode1(y) @ pinv(khatri_rao(f, x_hat).T, cfg.rcond)
+            hc = h_hat.conj()
+            gh = h_hat.T @ hc
             x_hat = _normal_solve(
-                gf * (h_hat.T @ h_hat.conj()),
-                normal_rhs(yf, h_hat, 2),
+                gf * gh, _conj_rhs(yf, hc, 2), _schur_certified(gf_eig, gh)
             )
             if x_hat is None:
                 x_hat = unfold_mode2(y) @ pinv(khatri_rao(f, h_hat).T, cfg.rcond)
         except NumericalError as exc:
             raise EstimationError(f"pseudo-inverse failed at iteration {it}: {exc}")
         fit = parafac_build(h_hat, x_hat, r)
-        eps = np.sqrt(perp2 + float(np.linalg.norm(yq - fit)) ** 2) / ynorm
-        if not np.isfinite(eps):
+        eps = math.sqrt(perp2 + float(np.linalg.norm(yq - fit)) ** 2) / ynorm
+        if not math.isfinite(eps):
             raise EstimationError(f"non-finite residual at iteration {it}")
         residuals.append(eps)
         if eps <= cfg.eps_floor or (
@@ -294,20 +345,26 @@ def two_stage_estimate(
 
 def flop_estimate(k: int, t: int, p: int, n: int) -> int:
     """Order-level complex-multiply count of one alternating-LS iteration on
-    the normal-equation path:
+    the normal-equation path whose Grams the Schur bound certifies, which
+    skips the Cholesky guard (see ``_SCHUR_COND_BOUND``):
 
     * Grams ``X^T X*`` and ``H^T H*``: (k + t) * n^2
-    * two Cholesky factorisations (the conditioning guard): n^3 / 3
     * two LU solves, factorisations and substitutions:
       2 * n^3 / 3 + (k + t) * n^2
     * right-hand sides from the training-contracted data: 2 * k * t * n
     * compressed residual ``parafac_build(H, X, R)``, a Khatri-Rao product
       then a product with R^T: k * t * n * (min(p, n) + 1)
 
-    The once-per-trial terms ``F^T F*``, ``Y F*``, the QR of F, ``Y Q*``
-    and the out-of-space residual, and the rare pseudo-inverse fallback are
-    not counted.
+    The once-per-trial terms ``F^T F*`` and its eigenvalues, ``Y F*``, the
+    QR of F, ``Y Q*`` and the out-of-space residual, the Cholesky guard of
+    an uncertified half-step (n^3 / 6 each) and the rare pseudo-inverse
+    fallback are not counted.
     """
     if min(k, t, p, n) < 1:
         raise ValueError("all dimensions must be positive")
-    return 2 * (k + t) * n * n + n**3 + 2 * k * t * n + k * t * n * (min(p, n) + 1)
+    return (
+        2 * (k + t) * n * n
+        + 2 * n**3 // 3
+        + 2 * k * t * n
+        + k * t * n * (min(p, n) + 1)
+    )

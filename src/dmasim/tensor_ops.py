@@ -66,9 +66,10 @@ def parafac_build(h: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
             f"{h.shape[1]}, {x.shape[1]}, {f.shape[1]}"
         )
     # khatri_rao(h, x) @ f.T as one fixed contraction; an optimised einsum
-    # would search for a path on every call.
+    # would search for a path on every call.  The product is written in C
+    # order, so the reshape never copies, whatever the factors' layout.
     (k, n), t, p = h.shape, x.shape[0], f.shape[0]
-    kr = (h[:, None, :] * x[None, :, :]).reshape(k * t, n)
+    kr = np.multiply(h[:, None, :], x[None, :, :], order="C").reshape(k * t, n)
     return (kr @ f.T).reshape(k, t, p)
 
 

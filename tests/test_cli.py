@@ -195,6 +195,27 @@ def test_an_invalid_sweep_point_fails_before_any_campaign(command, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["validate", "sweep"])
+def test_sweep_point_warnings_are_reported_with_their_tag(command, tmp_path, capsys):
+    # The base point (P = 8) warns only of the k-rank bound; the P = 2 point
+    # is valid but every trial at it fails, which only its own warning says.
+    path = tmp_path / "sweep.cfg"
+    path.write_text(TINY + "sweep_P = 8, 2\n", encoding="utf-8")
+    out = tmp_path / "sweeps"
+    argv = [command, str(path)] + (["--out", str(out)] if command == "sweep" else [])
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    expected = "P=2: P=2 < N=4: training cannot reach full column rank"
+    if command == "validate":
+        warnings = json.loads(captured.out)["warnings"]
+        assert sum(w.startswith(expected) for w in warnings) == 1
+        assert not any(w.startswith("P=8:") for w in warnings)
+    else:
+        assert f"warning: {expected}" in captured.err
+        assert "P=8:" not in captured.err
+        assert "swept 2 configurations" in captured.out
+
+
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_non_utf8_config_is_a_config_error(command, tmp_path, capsys):
     path = tmp_path / "latin1.cfg"

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dmasim.channels import (
+    gen_dft_training,
     gen_lorentzian_training,
     gen_qam,
     gen_wireless,
@@ -128,6 +129,20 @@ def _count_khatri_rao(monkeypatch):
     return calls
 
 
+def _count_cholesky(monkeypatch):
+    """Record the Cholesky guards run inside ``bals``; half-steps the Schur
+    bound certifies skip them."""
+    calls = []
+    original = np.linalg.cholesky
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    return calls
+
+
 def _assert_matches_oracle(y, f, x0, **kw):
     """Same iteration count, residual trace and fitted model as the pinv
     reference ALS from the same start."""
@@ -169,11 +184,13 @@ def test_bals_rank_deficient_gram_takes_the_fallback(monkeypatch):
     rt = add_noise(build_noiseless(h, x, f), 20.0, np.random.default_rng(27))
     calls = _count_pinv(monkeypatch)
     kr_calls = _count_khatri_rao(monkeypatch)
+    chol_calls = _count_cholesky(monkeypatch)
     res = _assert_matches_oracle(
         rt.y, f, rand_cn(np.random.default_rng(28), 2, 6), max_iters=20
     )
     assert len(calls) == 2 * len(res.residuals)
     assert len(kr_calls) == len(calls) > 0
+    assert len(chol_calls) > 0  # a singular F^T F* never certifies
 
 
 def test_bals_equal_columns_take_the_fallback(monkeypatch):
@@ -186,8 +203,96 @@ def test_bals_equal_columns_take_the_fallback(monkeypatch):
     x0 = rand_cn(np.random.default_rng(31), 8, 6)
     x0[:, 1] = x0[:, 0]
     calls = _count_pinv(monkeypatch)
+    chol_calls = _count_cholesky(monkeypatch)
     res = _assert_matches_oracle(rt.y, f, x0, max_iters=50)
     assert len(calls) == 2 * len(res.residuals)
+    assert len(chol_calls) > 0
+
+
+def _gf_eig(f):
+    """Extreme eigenvalues of F^T F*, as ``bals`` takes them per trial."""
+    return np.linalg.eigvalsh(f.T @ f.conj())[[0, -1]].tolist()
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 16),
+    t=st.integers(1, 20),
+    log_cond=st.floats(0.0, 8.0),
+    log_scale=st.floats(-330.0, 300.0),
+    n_small=st.integers(0, 3),
+)
+def test_schur_certificate_implies_the_cholesky_guard_passes(
+    seed, n, t, log_cond, log_scale, n_small
+):
+    # F^T F* with a prescribed condition number up to 1e8, and a symbol
+    # block of any rank (T < N included) with up to three near-zero columns,
+    # whose column energies range from the subnormal (where the Gram's
+    # entries lose their relative accuracy) to overflow.
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rand_cn(rng, n + 4, n))
+    v, _ = np.linalg.qr(rand_cn(rng, n, n))
+    sv = np.sqrt(np.logspace(0.0, log_cond, n))
+    f = (u * rng.permutation(sv)) @ v.conj().T
+    x = rand_cn(rng, t, n) * 10.0 ** (log_scale / 2)
+    for col in rng.choice(n, size=min(n_small, n), replace=False):
+        x[:, col] *= 10.0 ** rng.uniform(-12.0, -2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        factor_gram = x.T @ x.conj()
+        gram = (f.T @ f.conj()) * factor_gram
+        certified = receiver._schur_certified(_gf_eig(f), factor_gram)
+    if certified:
+        # Run the guard itself, as an uncertified half-step does.
+        rhs = rand_cn(rng, 3, n)
+        assert receiver._normal_solve(gram, rhs, certified=False) is not None
+
+
+def test_schur_certificate_rejects_nan_zero_and_singular():
+    rng = np.random.default_rng(40)
+    f = gen_lorentzian_training(12, 6, rng)
+    x = rand_cn(rng, 8, 6)
+    factor_gram = x.T @ x.conj()
+    assert receiver._schur_certified(_gf_eig(f), factor_gram)
+    with_nan = factor_gram.copy()
+    with_nan[2, 2] = np.nan
+    assert not receiver._schur_certified(_gf_eig(f), with_nan)
+    zero_column = factor_gram.copy()
+    zero_column[3, :] = zero_column[:, 3] = 0.0
+    assert not receiver._schur_certified(_gf_eig(f), zero_column)
+    for lam_min in (0.0, -1e-3, np.nan):
+        assert not receiver._schur_certified([lam_min, 1.0], factor_gram)
+
+
+def test_bals_skips_the_cholesky_guard_under_dft_training(monkeypatch):
+    # F^T F* = P I: every half-step at desk geometry is certified.
+    h, m, s, _, x = _scene(37, k=8, t=10, p=32, n=16, order=64)
+    f = gen_dft_training(32, 16)
+    rt = add_noise(build_noiseless(h, x, f), 10.0, np.random.default_rng(38))
+    chol_calls = _count_cholesky(monkeypatch)
+    res = bals(rt.y, f, rng=np.random.default_rng(39))
+    assert res.converged
+    assert chol_calls == []
+
+
+@pytest.mark.parametrize("snr_db", [None, 0.0, 10.0, 30.0])
+@pytest.mark.parametrize("seed", [41, 42, 43])
+def test_bals_certificate_changes_no_bit(seed, snr_db, monkeypatch):
+    # With the certificate forced off every half-step runs the Cholesky
+    # guard; the fit, the iterates and the residual trace stay bitwise equal.
+    h, m, s, f, x = _scene(seed, k=8, t=10, p=32, n=16, order=64)
+    rt = add_noise(build_noiseless(h, x, f), snr_db, np.random.default_rng(seed + 100))
+    chol_calls = _count_cholesky(monkeypatch)
+    on = bals(rt.y, f, rng=np.random.default_rng(seed + 200))
+    certified_chol = len(chol_calls)
+    monkeypatch.setattr(receiver, "_schur_certified", lambda gf_eig, fg: False)
+    off = bals(rt.y, f, rng=np.random.default_rng(seed + 200))
+    assert len(chol_calls) - certified_chol == 2 * len(off.residuals)
+    assert certified_chol < 2 * len(on.residuals)
+    np.testing.assert_array_equal(on.h_hat, off.h_hat)
+    np.testing.assert_array_equal(on.x_hat, off.x_hat)
+    np.testing.assert_array_equal(on.residuals, off.residuals)
+    assert on.converged == off.converged
 
 
 @pytest.mark.parametrize("p", [12, 6])  # P > N and P == N, N = 6
@@ -320,16 +425,17 @@ def test_two_stage_random_scenes_always_monotone_and_finite(seed):
 
 def test_flop_estimate_reference_point():
     # Reference geometry K=8, T=10, P=32, N=16: Grams + LU substitutions,
-    # two Choleskys (n^3/3) + two LU factorisations (2n^3/3), right-hand
-    # sides, compressed residual in the min(P, N) = 16 column space of F.
+    # two LU factorisations (2n^3/3, rounded down; certified half-steps run
+    # no Cholesky), right-hand sides, compressed residual in the
+    # min(P, N) = 16 column space of F.
     grams_and_substitutions = 2 * (8 + 10) * 16 * 16
-    factorisations = 16**3
+    factorisations = 2 * 16**3 // 3
     rhs = 2 * 8 * 10 * 16
     residual = 8 * 10 * 16 * (16 + 1)
     assert flop_estimate(8, 10, 32, 16) == (
         grams_and_substitutions + factorisations + rhs + residual
-    ) == 37632
+    ) == 36266
     # P < N: the residual lives in the P-dimensional column space.
-    assert flop_estimate(8, 10, 4, 16) == 37632 - 8 * 10 * 16 * 12
+    assert flop_estimate(8, 10, 4, 16) == 36266 - 8 * 10 * 16 * 12
     with pytest.raises(ValueError):
         flop_estimate(0, 1, 1, 1)
