@@ -9,6 +9,7 @@ ambiguity.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -38,15 +39,18 @@ class EstimationError(RuntimeError):
 CHOLESKY_DIAG_RATIO = 1e-3
 
 # Schur product theorem (Horn & Johnson, Topics in Matrix Analysis, sec.
-# 5.3): for positive semidefinite A and B, the eigenvalues of A o B lie in
-# [lambda_min(A) min_i B_ii, lambda_max(A) max_i B_ii], and the squared
-# Cholesky diagonal of A o B lies within its eigenvalue range.  So a Gram
-# (F^T F*) o B whose bound cond(F^T F*) * max_i B_ii / min_i B_ii is at most
-# CHOLESKY_DIAG_RATIO**-2 passes the diagonal test; certifying at a tenth of
-# that leaves a margin for roundoff.  The lower bound must also stay clear of
-# the subnormal range, where the Gram's entries lose relative accuracy.
+# 5.3): for positive semidefinite A and B, the eigenvalues of G = A o B are at
+# least lambda_min(A) min_i B_ii.  Every Cholesky pivot L_ii^2 of G lies
+# between lambda_min(G) and G_ii, so a Gram (F^T F*) o B with
+# lambda_min(F^T F*) min_i B_ii >= CHOLESKY_DIAG_RATIO**2 max_i G_ii passes the
+# diagonal test; certifying at ten times that leaves a margin for roundoff.
+# The lower bound must also stay clear of the subnormal range, where the
+# Gram's entries lose relative accuracy.
 _SCHUR_COND_BOUND = 0.1 / CHOLESKY_DIAG_RATIO**2
 _SCHUR_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+# Slack, relative to tol, for the roundings of the quotient |eps - prev| /
+# prev: two in the explicit rule, a few in its interval form.
+_RULE_SLACK = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -73,7 +77,10 @@ class BalsConfig:
 class BalsResult:
     h_hat: np.ndarray
     x_hat: np.ndarray
-    residuals: np.ndarray  # normalised residual after each full iteration
+    # Normalised residual after each full iteration: the Gram-form value
+    # where it is well clear of its error bound, else the explicit misfit,
+    # so it agrees with ||Y - Y_hat|| / ||Y|| to within roundoff.
+    residuals: np.ndarray
     converged: bool
 
 
@@ -94,20 +101,21 @@ class EstimateReport:
     rank1_degenerate: bool
 
 
-def _schur_certified(gf_eig: list[float], factor_gram: np.ndarray) -> bool:
-    """Whether the Gram ``(F^T F*) o factor_gram`` is certain to pass the
-    Cholesky guard, from the extreme eigenvalues ``gf_eig`` of ``F^T F*``
-    and the diagonal of ``factor_gram`` (``X^T X*`` or ``H^T H*``; see
+def _schur_certified(
+    gf_min: float, gram_diag: list[float], factor_diag: list[float]
+) -> bool:
+    """Whether the Gram ``(F^T F*) o B`` is certain to pass the Cholesky
+    guard, from the smallest eigenvalue ``gf_min`` of ``F^T F*``, the Gram's
+    diagonal and the diagonal of ``B`` (``X^T X*`` or ``H^T H*``; see
     ``_SCHUR_COND_BOUND``).  A NaN, a zero column or a singular ``F^T F*``
     never certifies."""
     # Python floats: N is small, and numpy's reductions cost more here than
     # the arithmetic.  min and max may skip a NaN; the sum keeps it.
-    diag = factor_gram.diagonal().real.tolist()
-    low = gf_eig[0] * min(diag)
+    low = gf_min * min(factor_diag)
     return (
         low >= _SCHUR_FLOOR
-        and gf_eig[1] * max(diag) <= _SCHUR_COND_BOUND * low
-        and sum(diag) < math.inf
+        and max(gram_diag) <= _SCHUR_COND_BOUND * low
+        and sum(factor_diag) < math.inf
     )
 
 
@@ -154,6 +162,95 @@ def _conj_rhs(yf: np.ndarray, factor_conj: np.ndarray, mode: int) -> np.ndarray:
     return np.einsum(spec, yf, factor_conj)
 
 
+def _residual_gamma(k: int, t: int, p: int, n: int) -> float:
+    """Rounding constant ``c m u`` of the Gram-form residual (see
+    ``_gram_misfit``): ``m`` is the longest accumulation chain, ``u`` the
+    unit roundoff and ``c = 4``."""
+    return 2.0 * (k * t * p + n * n + t * n + k + p) * np.finfo(float).eps
+
+
+def _gram_misfit(
+    ynorm: float,
+    gamma: float,
+    x_hat: np.ndarray,
+    rhs: np.ndarray,
+    gram: np.ndarray,
+    gx: np.ndarray,
+    gram_diag: list[float],
+    gx_diag: list[float],
+) -> tuple[float, float] | None:
+    """Normalised misfit ``||Y - Y_hat|| / ||Y||`` from the symbol half-step's
+    own terms, and a relative radius around it that holds both the exact and
+    the explicitly computed misfit; None when the value is not finite or not
+    well clear of its error bound.
+
+    ``rhs`` and ``gram`` are that half-step's right-hand side and Gram
+    ``(F^T F*) o (H^T H*)``, ``gx = X^T X*`` is its result's Gram, the lists
+    are the two Grams' diagonals, and ``gamma`` is ``_residual_gamma``.
+
+    As ``<Y, Y_hat> = vdot(X, rhs)`` and ``||Y_hat||^2`` is the sum of
+    ``gram o gx`` (Kolda & Bader, SIAM Review 2009), the squared misfit is
+    ``e2 = ||Y||^2 - 2 Re vdot(X, rhs) + Re sum(gram o gx)``.  With
+    ``|g_nn'| <= sqrt(g_nn g_n'n')`` for every Gram entry and the triangle
+    inequality over the rank-one terms, the standard inner-product bounds
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 3) put the
+    rounding error of ``e2`` below ``err = gamma (||Y|| + S)^2``, where
+    ``S = sum_n sqrt(gram_nn gx_nn)`` bounds ``||Y_hat||``.  For
+    ``e2 > 4 err`` the square root moves the exact misfit by at most a
+    relative ``err / e2`` (with room to spare for the explicit misfit's
+    rank-one rounding, below ``gamma S``), and the explicit misfit's norm
+    rounds by at most a relative ``gamma`` more.
+    """
+    e2 = (
+        ynorm * ynorm
+        - 2.0 * np.vdot(x_hat, rhs).real
+        + np.vdot(gram.T, gx).real  # gram is Hermitian: conj(gram) = gram.T
+    )
+    s = sum(map(math.sqrt, map(operator.mul, gram_diag, gx_diag)))
+    err = gamma * (ynorm + s) ** 2
+    if not 4.0 * err < e2 < math.inf:
+        return None
+    return math.sqrt(e2) / ynorm, err / e2 + gamma
+
+
+def _misfit(
+    y: np.ndarray, h_hat: np.ndarray, x_hat: np.ndarray, f: np.ndarray,
+    ynorm: float, it: int,
+) -> float:
+    """The explicit full-model misfit ``||Y - Y_hat|| / ||Y||``."""
+    eps = float(np.linalg.norm(y - parafac_build(h_hat, x_hat, f))) / ynorm
+    if not math.isfinite(eps):
+        raise EstimationError(f"non-finite residual at iteration {it}")
+    return eps
+
+
+def _stop(
+    eps: float, w: float, prev: float | None, pw: float, cfg: BalsConfig
+) -> bool | None:
+    """The stopping rule on trace entries known to within the relative radii
+    ``w`` (``eps``) and ``pw`` (``prev``): stop once ``eps <= eps_floor`` or
+    ``|eps - prev| / prev <= tol``.  Returns None when the radii leave the
+    outcome open; with both radii zero it is the rule itself.  ``prev`` is
+    above ``eps_floor``, or the run would have stopped there.
+    """
+    if eps * (1.0 + w) <= cfg.eps_floor:
+        return True
+    if eps * (1.0 - w) <= cfg.eps_floor:
+        return None
+    if prev is None:
+        return False
+    change = abs(eps - prev) / prev
+    if not (w or pw):
+        return change <= cfg.tol
+    # e / p lies within (w + pw) eps / (prev (1 - pw)) of eps / prev.
+    slack = (w + pw) * eps / (prev * (1.0 - pw)) + _RULE_SLACK * cfg.tol
+    if change + slack <= cfg.tol:
+        return True
+    if change - slack > cfg.tol:
+        return False
+    return None
+
+
 def bals(
     y: np.ndarray,
     f: np.ndarray,
@@ -166,8 +263,10 @@ def bals(
     factor unless the Schur bound certifies the Gram, and falls back to
     ``Y_unfolded @ pinv(khatri_rao(...).T, rcond)`` when the Gram is not
     safely positive definite.  After the per-trial set-up the loop touches
-    only N-dimensional data: the residual is taken in the column space of F
-    (see below).
+    only N-dimensional data: the residual comes from the symbol half-step's
+    own Grams and right-hand side (see ``_gram_misfit``), and the explicit
+    misfit of the full model is formed only when that value is too close to
+    its error bound, or its error interval straddles a stopping threshold.
 
     Parameters
     ----------
@@ -180,8 +279,8 @@ def bals(
     Returns
     -------
     BalsResult with the fitted factors, the residual trace
-    ``||Y - Y_hat||_F / ||Y||_F`` (one entry per full iteration, monotone
-    nonincreasing up to roundoff), and a convergence flag.
+    ``||Y - Y_hat||_F / ||Y||_F`` (one entry per full iteration, to within
+    roundoff; monotone nonincreasing up to roundoff), and a convergence flag.
 
     Raises
     ------
@@ -212,60 +311,69 @@ def bals(
     # 2009, sec. 3.4): the Gram of khatri_rao(F, X) is (F^T F*) o (X^T X*),
     # and Y1 @ khatri_rao(F, X)* contracts the training first, so the
     # training enters each iteration only through these two per-trial terms.
-    y2 = y.reshape(k * t, p)
     fc = f.conj()
     gf = f.T @ fc
-    yf = (y2 @ fc).reshape(k, t, n)
-    # Extreme eigenvalues of F^T F*, for the Schur bound that lets most
+    yf = (y.reshape(k * t, p) @ fc).reshape(k, t, n)
+    # Smallest eigenvalue of F^T F*, for the Schur bound that lets most
     # half-steps skip the Cholesky guard (see _SCHUR_COND_BOUND).
-    gf_eig = np.linalg.eigvalsh(gf)[[0, -1]].tolist()
-    # The model's mode-3 fibres lie in the column space of F = Q R, so the
-    # residual splits into the part of Y outside it, fixed per trial, and
-    # an in-space part of dimension min(P, N):
-    #   ||Y - Y_hat||^2 = ||Y - Yq Q^T||^2 + ||Yq - parafac_build(H, X, R)||^2
-    # with Yq = Y Q*.  Both terms are explicit norms of differences: a Gram
-    # expansion would cancel catastrophically near an exact fit, where
-    # eps_floor has to see it.
-    q, r = np.linalg.qr(f)
-    yq2 = y2 @ q.conj()
-    perp2 = float(np.linalg.norm(y2 - yq2 @ q.T)) ** 2
-    yq = yq2.reshape(k, t, -1)
+    gf_min = float(np.linalg.eigvalsh(gf)[0])
+    gamma = _residual_gamma(k, t, p, n)
+    # Each factor is conjugated once, for its Gram and the right-hand side;
+    # X's Gram serves both the residual and the next iteration's channel
+    # half-step.
+    xc = x_hat.conj()
+    gx = x_hat.T @ xc
+    gx_diag = gx.diagonal().real.tolist()
     h_hat = np.zeros((k, n), dtype=complex)
     residuals: list[float] = []
     converged = False
-    prev = None
+    prev, prev_w, prev_h, prev_x = None, 0.0, None, None
     for it in range(1, cfg.max_iters + 1):
         try:
-            # Each factor is conjugated once, for its Gram and the
-            # right-hand side.
-            xc = x_hat.conj()
-            gx = x_hat.T @ xc
+            gram = gf * gx
             h_hat = _normal_solve(
-                gf * gx, _conj_rhs(yf, xc, 1), _schur_certified(gf_eig, gx)
+                gram,
+                _conj_rhs(yf, xc, 1),
+                _schur_certified(gf_min, gram.diagonal().real.tolist(), gx_diag),
             )
             if h_hat is None:
                 h_hat = unfold_mode1(y) @ pinv(khatri_rao(f, x_hat).T, cfg.rcond)
             hc = h_hat.conj()
             gh = h_hat.T @ hc
+            gram = gf * gh
+            gram_diag = gram.diagonal().real.tolist()
+            rhs = _conj_rhs(yf, hc, 2)
             x_hat = _normal_solve(
-                gf * gh, _conj_rhs(yf, hc, 2), _schur_certified(gf_eig, gh)
+                gram,
+                rhs,
+                _schur_certified(gf_min, gram_diag, gh.diagonal().real.tolist()),
             )
             if x_hat is None:
                 x_hat = unfold_mode2(y) @ pinv(khatri_rao(f, h_hat).T, cfg.rcond)
         except NumericalError as exc:
             raise EstimationError(f"pseudo-inverse failed at iteration {it}: {exc}")
-        fit = parafac_build(h_hat, x_hat, r)
-        eps = math.sqrt(perp2 + float(np.linalg.norm(yq - fit)) ** 2) / ynorm
-        if not math.isfinite(eps):
-            raise EstimationError(f"non-finite residual at iteration {it}")
+        xc = x_hat.conj()
+        gx = x_hat.T @ xc
+        gx_diag = gx.diagonal().real.tolist()
+        fit = _gram_misfit(ynorm, gamma, x_hat, rhs, gram, gx, gram_diag, gx_diag)
+        if fit is None:
+            eps, w = _misfit(y, h_hat, x_hat, f, ynorm, it), 0.0
+        else:
+            eps, w = fit
         residuals.append(eps)
-        if eps <= cfg.eps_floor or (
-            prev is not None
-            and (prev <= cfg.eps_floor or abs(eps - prev) / prev <= cfg.tol)
-        ):
+        stop = _stop(eps, w, prev, prev_w, cfg)
+        if stop is None:
+            # The interval cannot decide: decide on the explicit misfits.
+            if w:
+                eps = residuals[-1] = _misfit(y, h_hat, x_hat, f, ynorm, it)
+                w = 0.0
+            if prev_w:
+                prev = residuals[-2] = _misfit(y, prev_h, prev_x, f, ynorm, it - 1)
+            stop = _stop(eps, 0.0, prev, 0.0, cfg)
+        if stop:
             converged = True
             break
-        prev = eps
+        prev, prev_w, prev_h, prev_x = eps, w, h_hat, x_hat
     return BalsResult(
         h_hat=h_hat,
         x_hat=x_hat,
@@ -352,19 +460,15 @@ def flop_estimate(k: int, t: int, p: int, n: int) -> int:
     * two LU solves, factorisations and substitutions:
       2 * n^3 / 3 + (k + t) * n^2
     * right-hand sides from the training-contracted data: 2 * k * t * n
-    * compressed residual ``parafac_build(H, X, R)``, a Khatri-Rao product
-      then a product with R^T: k * t * n * (min(p, n) + 1)
+    * Gram-form residual, ``vdot(X, rhs)`` and the sum of ``gram o gx``:
+      t * n + n^2
 
-    The once-per-trial terms ``F^T F*`` and its eigenvalues, ``Y F*``, the
-    QR of F, ``Y Q*`` and the out-of-space residual, the Cholesky guard of
-    an uncertified half-step (n^3 / 6 each) and the rare pseudo-inverse
-    fallback are not counted.
+    The count does not depend on ``p``: the training enters the loop only
+    through per-trial terms.  Those (``F^T F*`` and its eigenvalues,
+    ``Y F*``), the Cholesky guard of an uncertified half-step (n^3 / 6
+    each), the explicit misfit formed when the Gram form cannot decide a
+    stop, and the rare pseudo-inverse fallback are not counted.
     """
     if min(k, t, p, n) < 1:
         raise ValueError("all dimensions must be positive")
-    return (
-        2 * (k + t) * n * n
-        + 2 * n**3 // 3
-        + 2 * k * t * n
-        + k * t * n * (min(p, n) + 1)
-    )
+    return 2 * (k + t) * n * n + 2 * n**3 // 3 + 2 * k * t * n + t * n + n * n

@@ -232,7 +232,7 @@ def test_summary_json_content(tmp_path):
     assert summary["seed"] == cfg.seed
     assert summary["nmse_fit"] == NMSE_FIT_LABEL
     assert summary["config"]["receiver"] == "bench-data-aided"
-    assert summary["per_iteration_flops"] == 36266
+    assert summary["per_iteration_flops"] == 14922
     assert summary["oracle_side_information"]  # benches must declare oracles
     assert summary["wall_clock_fields_nondeterministic"] == [
         "rows[].mean_runtime_s"

@@ -102,44 +102,18 @@ def test_bals_iteration_cap_is_respected():
     assert not res.converged
 
 
-def _count_pinv(monkeypatch):
-    """Record the pseudo-inverse fallbacks taken inside ``bals``."""
+def _count_calls(monkeypatch, owner, name):
+    """Record the calls made to ``owner.name``.  Inside ``bals`` only the
+    pseudo-inverse fallback calls ``pinv`` and ``khatri_rao``, and only
+    half-steps the Schur bound cannot certify call ``np.linalg.cholesky``."""
     calls = []
-    original = receiver.pinv
+    original = getattr(owner, name)
 
-    def counting(a, rcond):
-        calls.append(a.shape)
-        return original(a, rcond)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(receiver, "pinv", counting)
-    return calls
-
-
-def _count_khatri_rao(monkeypatch):
-    """Record the Khatri-Rao products formed inside ``bals``; only the
-    pseudo-inverse fallback forms them."""
-    calls = []
-    original = receiver.khatri_rao
-
-    def counting(a, b):
-        calls.append((a.shape, b.shape))
-        return original(a, b)
-
-    monkeypatch.setattr(receiver, "khatri_rao", counting)
-    return calls
-
-
-def _count_cholesky(monkeypatch):
-    """Record the Cholesky guards run inside ``bals``; half-steps the Schur
-    bound certifies skip them."""
-    calls = []
-    original = np.linalg.cholesky
-
-    def counting(a):
-        calls.append(a.shape)
-        return original(a)
-
-    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -161,7 +135,7 @@ def _assert_matches_oracle(y, f, x0, **kw):
 def test_bals_matches_the_pinv_reference(seed, snr_db, monkeypatch):
     h, m, s, f, x = _scene(seed)
     rt = add_noise(build_noiseless(h, x, f), snr_db, np.random.default_rng(seed + 100))
-    calls = _count_pinv(monkeypatch)
+    calls = _count_calls(monkeypatch, receiver, "pinv")
     _assert_matches_oracle(rt.y, f, rand_cn(np.random.default_rng(seed + 200), 8, 6))
     assert calls == []  # well-conditioned Grams never take the fallback
 
@@ -169,8 +143,8 @@ def test_bals_matches_the_pinv_reference(seed, snr_db, monkeypatch):
 def test_bals_matches_the_pinv_reference_at_desk_geometry(monkeypatch):
     h, m, s, f, x = _scene(23, k=8, t=10, p=32, n=16, order=64)
     rt = add_noise(build_noiseless(h, x, f), 0.0, np.random.default_rng(24))
-    calls = _count_pinv(monkeypatch)
-    kr_calls = _count_khatri_rao(monkeypatch)
+    calls = _count_calls(monkeypatch, receiver, "pinv")
+    kr_calls = _count_calls(monkeypatch, receiver, "khatri_rao")
     _assert_matches_oracle(rt.y, f, rand_cn(np.random.default_rng(25), 10, 16))
     assert calls == []
     assert kr_calls == []
@@ -182,9 +156,9 @@ def test_bals_rank_deficient_gram_takes_the_fallback(monkeypatch):
     h, m, s, _, x = _scene(26, k=2, t=2, n=6, order=4)
     f = rand_cn(np.random.default_rng(26), 2, 6)
     rt = add_noise(build_noiseless(h, x, f), 20.0, np.random.default_rng(27))
-    calls = _count_pinv(monkeypatch)
-    kr_calls = _count_khatri_rao(monkeypatch)
-    chol_calls = _count_cholesky(monkeypatch)
+    calls = _count_calls(monkeypatch, receiver, "pinv")
+    kr_calls = _count_calls(monkeypatch, receiver, "khatri_rao")
+    chol_calls = _count_calls(monkeypatch, np.linalg, "cholesky")
     res = _assert_matches_oracle(
         rt.y, f, rand_cn(np.random.default_rng(28), 2, 6), max_iters=20
     )
@@ -202,16 +176,20 @@ def test_bals_equal_columns_take_the_fallback(monkeypatch):
     rt = add_noise(build_noiseless(h, x, f), 10.0, np.random.default_rng(30))
     x0 = rand_cn(np.random.default_rng(31), 8, 6)
     x0[:, 1] = x0[:, 0]
-    calls = _count_pinv(monkeypatch)
-    chol_calls = _count_cholesky(monkeypatch)
+    calls = _count_calls(monkeypatch, receiver, "pinv")
+    chol_calls = _count_calls(monkeypatch, np.linalg, "cholesky")
     res = _assert_matches_oracle(rt.y, f, x0, max_iters=50)
     assert len(calls) == 2 * len(res.residuals)
     assert len(chol_calls) > 0
 
 
-def _gf_eig(f):
-    """Extreme eigenvalues of F^T F*, as ``bals`` takes them per trial."""
-    return np.linalg.eigvalsh(f.T @ f.conj())[[0, -1]].tolist()
+def _gf_min(f):
+    """Smallest eigenvalue of F^T F*, as ``bals`` takes it per trial."""
+    return float(np.linalg.eigvalsh(f.T @ f.conj())[0])
+
+
+def _diag(gram):
+    return gram.diagonal().real.tolist()
 
 
 @settings(max_examples=200)
@@ -241,7 +219,9 @@ def test_schur_certificate_implies_the_cholesky_guard_passes(
     with np.errstate(over="ignore", invalid="ignore"):
         factor_gram = x.T @ x.conj()
         gram = (f.T @ f.conj()) * factor_gram
-        certified = receiver._schur_certified(_gf_eig(f), factor_gram)
+        certified = receiver._schur_certified(
+            _gf_min(f), _diag(gram), _diag(factor_gram)
+        )
     if certified:
         # Run the guard itself, as an uncertified half-step does.
         rhs = rand_cn(rng, 3, n)
@@ -252,16 +232,23 @@ def test_schur_certificate_rejects_nan_zero_and_singular():
     rng = np.random.default_rng(40)
     f = gen_lorentzian_training(12, 6, rng)
     x = rand_cn(rng, 8, 6)
+    gf = f.T @ f.conj()
+
+    def certified(gf_min, factor_gram):
+        return receiver._schur_certified(
+            gf_min, _diag(gf * factor_gram), _diag(factor_gram)
+        )
+
     factor_gram = x.T @ x.conj()
-    assert receiver._schur_certified(_gf_eig(f), factor_gram)
+    assert certified(_gf_min(f), factor_gram)
     with_nan = factor_gram.copy()
     with_nan[2, 2] = np.nan
-    assert not receiver._schur_certified(_gf_eig(f), with_nan)
+    assert not certified(_gf_min(f), with_nan)
     zero_column = factor_gram.copy()
     zero_column[3, :] = zero_column[:, 3] = 0.0
-    assert not receiver._schur_certified(_gf_eig(f), zero_column)
-    for lam_min in (0.0, -1e-3, np.nan):
-        assert not receiver._schur_certified([lam_min, 1.0], factor_gram)
+    assert not certified(_gf_min(f), zero_column)
+    for gf_min in (0.0, -1e-3, np.nan):
+        assert not certified(gf_min, factor_gram)
 
 
 def test_bals_skips_the_cholesky_guard_under_dft_training(monkeypatch):
@@ -269,7 +256,7 @@ def test_bals_skips_the_cholesky_guard_under_dft_training(monkeypatch):
     h, m, s, _, x = _scene(37, k=8, t=10, p=32, n=16, order=64)
     f = gen_dft_training(32, 16)
     rt = add_noise(build_noiseless(h, x, f), 10.0, np.random.default_rng(38))
-    chol_calls = _count_cholesky(monkeypatch)
+    chol_calls = _count_calls(monkeypatch, np.linalg, "cholesky")
     res = bals(rt.y, f, rng=np.random.default_rng(39))
     assert res.converged
     assert chol_calls == []
@@ -282,10 +269,10 @@ def test_bals_certificate_changes_no_bit(seed, snr_db, monkeypatch):
     # guard; the fit, the iterates and the residual trace stay bitwise equal.
     h, m, s, f, x = _scene(seed, k=8, t=10, p=32, n=16, order=64)
     rt = add_noise(build_noiseless(h, x, f), snr_db, np.random.default_rng(seed + 100))
-    chol_calls = _count_cholesky(monkeypatch)
+    chol_calls = _count_calls(monkeypatch, np.linalg, "cholesky")
     on = bals(rt.y, f, rng=np.random.default_rng(seed + 200))
     certified_chol = len(chol_calls)
-    monkeypatch.setattr(receiver, "_schur_certified", lambda gf_eig, fg: False)
+    monkeypatch.setattr(receiver, "_schur_certified", lambda *diags: False)
     off = bals(rt.y, f, rng=np.random.default_rng(seed + 200))
     assert len(chol_calls) - certified_chol == 2 * len(off.residuals)
     assert certified_chol < 2 * len(on.residuals)
@@ -295,23 +282,162 @@ def test_bals_certificate_changes_no_bit(seed, snr_db, monkeypatch):
     assert on.converged == off.converged
 
 
-@pytest.mark.parametrize("p", [12, 6])  # P > N and P == N, N = 6
-def test_bals_residual_trace_is_the_full_model_misfit(p):
-    # The loop takes the residual in the column space of F plus a per-trial
-    # out-of-space term; it must equal the misfit of the full model.  Entry
-    # i of the trace is checked from the factors of a run capped at i + 1
-    # iterations, which retraces the same iterates from the same start.
+@pytest.mark.parametrize(
+    "p, snr_db",  # P > N and P == N, N = 6
+    [
+        pytest.param(p, snr_db, id=f"{p}{tag}")
+        for snr_db, tag in ((5.0, ""), (60.0, "-60dB"), (None, "-noiseless"))
+        for p in (12, 6)
+    ],
+)
+def test_bals_residual_trace_is_the_full_model_misfit(p, snr_db):
+    # Each trace entry is the Gram-form value or, near its error bound, the
+    # explicit misfit; either way it must match the misfit of the full model
+    # to within roundoff.  Entry i of the trace is checked from the factors
+    # of a run capped at i + 1 iterations, which retraces the same iterates
+    # from the same start.
     h, m, s, f, x = _scene(32, p=p)
-    rt = add_noise(build_noiseless(h, x, f), 5.0, np.random.default_rng(33))
+    rt = add_noise(build_noiseless(h, x, f), snr_db, np.random.default_rng(33))
     x0 = rand_cn(np.random.default_rng(34), 8, 6)
     res = bals(rt.y, f, cfg=BalsConfig(init=x0))
-    assert len(res.residuals) > 3
+    # Noiseless data reach the exact fit in two iterations.
+    assert len(res.residuals) > (1 if snr_db is None else 3)
     ynorm = np.linalg.norm(rt.y)
-    for cap in (1, 2, len(res.residuals)):
+    for cap in sorted({1, 2, len(res.residuals)}):
         part = bals(rt.y, f, cfg=BalsConfig(init=x0, max_iters=cap))
         misfit = np.linalg.norm(rt.y - parafac_build(part.h_hat, part.x_hat, f))
         assert abs(res.residuals[cap - 1] - misfit / ynorm) <= 1e-12
-        assert part.residuals[-1] == res.residuals[cap - 1]
+        assert abs(part.residuals[-1] - res.residuals[cap - 1]) <= 1e-12
+
+
+def test_bals_forms_no_qr_and_checks_the_exact_fit_explicitly(monkeypatch):
+    # The residual needs no factorisation of F.  On noiseless data the Gram
+    # form cancels to within its error bound near the exact fit, so the
+    # eps_floor stop is decided on the explicit misfit.
+    h, m, s, f, x = _scene(44, k=8, t=10, p=32, n=16, order=64)
+    qr_calls = _count_calls(monkeypatch, np.linalg, "qr")
+    misfit_calls = _count_calls(monkeypatch, receiver, "_misfit")
+    noisy = add_noise(build_noiseless(h, x, f), 10.0, np.random.default_rng(45))
+    res = bals(noisy.y, f, rng=np.random.default_rng(46))
+    assert res.converged
+    assert len(misfit_calls) < len(res.residuals)
+    res = bals(build_noiseless(h, x, f).y, f, rng=np.random.default_rng(46))
+    assert res.converged and res.residuals[-1] <= 1e-12
+    assert len(misfit_calls) >= 1
+    assert qr_calls == []
+
+
+@pytest.mark.parametrize("nan_call", [1, 6])  # iteration 1 channel, iteration 3 symbol
+def test_bals_non_finite_block_raises_at_its_iteration(nan_call, monkeypatch):
+    # A half-step that returns a non-finite block is reported at the
+    # iteration it happens in, whichever half-step it is.
+    h, m, s, f, x = _scene(47)
+    rt = add_noise(build_noiseless(h, x, f), 10.0, np.random.default_rng(48))
+    calls = []
+    original = receiver._normal_solve
+
+    def poisoned(gram, rhs, certified):
+        calls.append(certified)
+        out = original(gram, rhs, certified)
+        return out * np.nan if len(calls) == nan_call else out
+
+    monkeypatch.setattr(receiver, "_normal_solve", poisoned)
+    with pytest.raises(EstimationError, match=rf"iteration {(nan_call + 1) // 2}\b"):
+        bals(rt.y, f, rng=np.random.default_rng(49))
+    y = rt.y.copy()
+    y[0, 0, 0] = np.nan
+    with pytest.raises(EstimationError, match="iteration 1"):
+        bals(y, f, rng=np.random.default_rng(49))
+
+
+def _exact_misfit(y, h, x, f):
+    """||Y - Y_hat|| / ||Y|| in extended precision."""
+    yl = y.astype(np.clongdouble)
+    fit = np.einsum(
+        "kn,tn,pn->ktp", *(a.astype(np.clongdouble) for a in (h, x, f))
+    )
+    return float(np.sqrt(np.sum(np.abs(yl - fit) ** 2) / np.sum(np.abs(yl) ** 2)))
+
+
+def _gram_fit(y, f, h, x):
+    """The Gram-form misfit of the iterate (h, x), from the terms ``bals``
+    has at the end of an iteration."""
+    k, t, p = y.shape
+    n = f.shape[1]
+    yf = (y.reshape(k * t, p) @ f.conj()).reshape(k, t, n)
+    gram = (f.T @ f.conj()) * (h.T @ h.conj())
+    gx = x.T @ x.conj()
+    return receiver._gram_misfit(
+        float(np.linalg.norm(y)), receiver._residual_gamma(k, t, p, n), x,
+        receiver.normal_rhs(yf, h, 2), gram, gx, _diag(gram), _diag(gx),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.integers(1, 6),
+    t=st.integers(1, 8),
+    n=st.integers(1, 6),
+    extra_p=st.integers(0, 6),
+    log_cond=st.floats(0.0, 8.0),
+    snr_db=st.sampled_from([None, 0.0, 30.0, 60.0, 120.0]),
+    log_step=st.floats(-14.0, 0.0),
+    log_spread=st.floats(0.0, 3.0),
+    log_margin=st.floats(-16.0, -1.0),
+    above=st.booleans(),
+)
+def test_gram_misfit_interval_holds_the_misfit_and_decides_as_explicit(
+    seed, k, t, n, extra_p, log_cond, snr_db, log_step, log_spread,
+    log_margin, above,
+):
+    # Training with condition number up to 1e8, data at any SNR, and two
+    # random iterates near the truth whose columns trade scale (the
+    # diagonal ambiguity) unevenly.  Where the Gram form gives a value, its
+    # interval holds both the explicit and the exact misfit; where the
+    # intervals decide a stop, they decide it as the explicit misfits do,
+    # with both thresholds placed a relative margin from the explicit values.
+    rng = np.random.default_rng(seed)
+    p = n + extra_p
+    u, _ = np.linalg.qr(rand_cn(rng, p, n))
+    v, _ = np.linalg.qr(rand_cn(rng, n, n))
+    f = (u * rng.permutation(np.sqrt(np.logspace(0.0, log_cond, n)))) @ v.conj().T
+    h, x = rand_cn(rng, k, n), rand_cn(rng, t, n)
+    clean = parafac_build(h, x, f)
+    y = clean
+    if snr_db is not None:
+        sigma = np.linalg.norm(clean) / np.sqrt(clean.size) * 10 ** (-snr_db / 20)
+        y = clean + sigma * rand_cn(rng, k, t, p)
+    step = 10.0**log_step
+    iterates = []
+    for _ in range(2):
+        scale = 10.0 ** rng.uniform(-log_spread, log_spread, n)
+        iterates.append((
+            (h + step * rand_cn(rng, k, n)) * scale,
+            (x + step * rand_cn(rng, t, n)) / scale,
+        ))
+    ynorm = np.linalg.norm(y)
+    explicit, fits = [], []
+    for hi, xi in iterates:
+        explicit.append(np.linalg.norm(y - parafac_build(hi, xi, f)) / ynorm)
+        fits.append(_gram_fit(y, f, hi, xi))
+        if fits[-1] is not None:
+            eps, w = fits[-1]
+            assert w < 0.3
+            assert abs(explicit[-1] - eps) <= w * eps
+            assert abs(_exact_misfit(y, hi, xi, f) - eps) <= w * eps
+    if None in fits:
+        return
+    (prev, pw), (eps, w) = fits
+    margin = (1.0 if above else -1.0) * 10.0**log_margin
+    change = abs(explicit[1] - explicit[0]) / explicit[0]
+    for cfg in (
+        BalsConfig(eps_floor=explicit[1] * (1.0 + margin), tol=0.0),
+        BalsConfig(eps_floor=0.0, tol=change * (1.0 + margin)),
+    ):
+        certain = receiver._stop(eps, w, prev, pw, cfg)
+        if certain is not None and explicit[0] > cfg.eps_floor:
+            assert certain == receiver._stop(explicit[1], 0.0, explicit[0], 0.0, cfg)
 
 
 @pytest.mark.parametrize("p", [12, 6])  # P > N and P == N, N = 6
@@ -426,16 +552,16 @@ def test_two_stage_random_scenes_always_monotone_and_finite(seed):
 def test_flop_estimate_reference_point():
     # Reference geometry K=8, T=10, P=32, N=16: Grams + LU substitutions,
     # two LU factorisations (2n^3/3, rounded down; certified half-steps run
-    # no Cholesky), right-hand sides, compressed residual in the
-    # min(P, N) = 16 column space of F.
+    # no Cholesky), right-hand sides, Gram-form residual (vdot(X, rhs) and
+    # the sum of gram o gx).
     grams_and_substitutions = 2 * (8 + 10) * 16 * 16
     factorisations = 2 * 16**3 // 3
     rhs = 2 * 8 * 10 * 16
-    residual = 8 * 10 * 16 * (16 + 1)
+    residual = 10 * 16 + 16 * 16
     assert flop_estimate(8, 10, 32, 16) == (
         grams_and_substitutions + factorisations + rhs + residual
-    ) == 36266
-    # P < N: the residual lives in the P-dimensional column space.
-    assert flop_estimate(8, 10, 4, 16) == 36266 - 8 * 10 * 16 * 12
+    ) == 14922
+    # The training enters the loop only through per-trial terms.
+    assert flop_estimate(8, 10, 4, 16) == 14922
     with pytest.raises(ValueError):
         flop_estimate(0, 1, 1, 1)
