@@ -44,9 +44,10 @@ CHOLESKY_DIAG_RATIO = 1e-3
 # between lambda_min(G) and G_ii, so a Gram (F^T F*) o B with
 # lambda_min(F^T F*) min_i B_ii >= CHOLESKY_DIAG_RATIO**2 max_i G_ii passes the
 # diagonal test; certifying at ten times that leaves a margin for roundoff.
-# The lower bound must also stay clear of the subnormal range, where the
-# Gram's entries lose relative accuracy.
-_SCHUR_COND_BOUND = 0.1 / CHOLESKY_DIAG_RATIO**2
+# _SCHUR_PIVOT_MARGIN is the largest max_i G_ii / (lambda_min(F^T F*) min_i
+# B_ii) so certified.  The lower bound must also stay clear of the subnormal
+# range, where the Gram's entries lose relative accuracy.
+_SCHUR_PIVOT_MARGIN = 1 / (10 * CHOLESKY_DIAG_RATIO**2)
 _SCHUR_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 # Slack, relative to tol, for the roundings of the quotient |eps - prev| /
 # prev: two in the explicit rule, a few in its interval form.
@@ -107,14 +108,14 @@ def _schur_certified(
     """Whether the Gram ``(F^T F*) o B`` is certain to pass the Cholesky
     guard, from the smallest eigenvalue ``gf_min`` of ``F^T F*``, the Gram's
     diagonal and the diagonal of ``B`` (``X^T X*`` or ``H^T H*``; see
-    ``_SCHUR_COND_BOUND``).  A NaN, a zero column or a singular ``F^T F*``
+    ``_SCHUR_PIVOT_MARGIN``).  A NaN, a zero column or a singular ``F^T F*``
     never certifies."""
     # Python floats: N is small, and numpy's reductions cost more here than
     # the arithmetic.  min and max may skip a NaN; the sum keeps it.
     low = gf_min * min(factor_diag)
     return (
         low >= _SCHUR_FLOOR
-        and max(gram_diag) <= _SCHUR_COND_BOUND * low
+        and max(gram_diag) <= _SCHUR_PIVOT_MARGIN * low
         and sum(factor_diag) < math.inf
     )
 
@@ -315,7 +316,7 @@ def bals(
     gf = f.T @ fc
     yf = (y.reshape(k * t, p) @ fc).reshape(k, t, n)
     # Smallest eigenvalue of F^T F*, for the Schur bound that lets most
-    # half-steps skip the Cholesky guard (see _SCHUR_COND_BOUND).
+    # half-steps skip the Cholesky guard (see _SCHUR_PIVOT_MARGIN).
     gf_min = float(np.linalg.eigvalsh(gf)[0])
     gamma = _residual_gamma(k, t, p, n)
     # Each factor is conjugated once, for its Gram and the right-hand side;
@@ -368,7 +369,7 @@ def bals(
                 eps = residuals[-1] = _misfit(y, h_hat, x_hat, f, ynorm, it)
                 w = 0.0
             if prev_w:
-                prev = residuals[-2] = _misfit(y, prev_h, prev_x, f, ynorm, it - 1)
+                prev = _misfit(y, prev_h, prev_x, f, ynorm, it - 1)
             stop = _stop(eps, 0.0, prev, 0.0, cfg)
         if stop:
             converged = True
@@ -454,7 +455,7 @@ def two_stage_estimate(
 def flop_estimate(k: int, t: int, p: int, n: int) -> int:
     """Order-level complex-multiply count of one alternating-LS iteration on
     the normal-equation path whose Grams the Schur bound certifies, which
-    skips the Cholesky guard (see ``_SCHUR_COND_BOUND``):
+    skips the Cholesky guard (see ``_SCHUR_PIVOT_MARGIN``):
 
     * Grams ``X^T X*`` and ``H^T H*``: (k + t) * n^2
     * two LU solves, factorisations and substitutions:
