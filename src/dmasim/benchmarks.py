@@ -64,13 +64,14 @@ def _matched_filter(
     The unfolding is folded back into a (K, T, P) view and contracted with
     ``F*`` once, giving the block ``yf`` that ``receiver.bals`` forms; the
     receiver's half-step right-hand side (``normal_rhs``) then contracts it
-    with ``factor``, and ``weights`` is the diagonal of the inverse Gram.
+    with ``conj(factor)``, and ``weights`` is the diagonal of the inverse
+    Gram.
     """
     p = f.shape[0]
     block = y_unf.reshape(y_unf.shape[0], p, -1)  # [row, p, column]
     y = block.transpose(0, 2, 1) if mode == 1 else block.transpose(2, 0, 1)
     yf = (y.reshape(-1, p) @ f.conj()).reshape(y.shape[0], y.shape[1], -1)
-    return normal_rhs(yf, factor, mode) * weights
+    return normal_rhs(yf, factor.conj(), mode) * weights
 
 
 def semi_unitary_h(

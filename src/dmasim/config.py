@@ -21,6 +21,9 @@ import numpy as np
 RECEIVERS = ("proposed", "bench-data-aided", "bench-pilot-aided")
 TRAININGS = ("lorentzian", "semi-unitary-dft")
 INNER_MODELS = ("random-phase", "physical")
+# Each campaign thread is an OS thread; a typo such as threads = 10000 would
+# start that many.
+MAX_THREADS = 256
 
 
 class ConfigError(ValueError):
@@ -157,8 +160,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         raise ConfigError("trials must be >= 1")
     if cfg.max_iters < 1:
         raise ConfigError("max_iters must be >= 1")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
+    if not 1 <= cfg.threads <= MAX_THREADS:
+        raise ConfigError(f"threads must be between 1 and {MAX_THREADS}")
     if cfg.seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     for name in ("tol", "rcond", "alpha", "beta", "spacing"):

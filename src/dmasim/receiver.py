@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channels import TrainingSpectrum, training_spectrum
 from .tensor_ops import (
     NumericalError,
     khatri_rao,
@@ -145,20 +146,16 @@ def _normal_solve(
     return np.linalg.solve(gram.conj(), rhs.T).T
 
 
-def normal_rhs(yf: np.ndarray, factor: np.ndarray, mode: int) -> np.ndarray:
+def normal_rhs(yf: np.ndarray, factor_conj: np.ndarray, mode: int) -> np.ndarray:
     """Right-hand side of a half-step's normal equations,
     ``unfold_mode{mode}(Y) @ conj(khatri_rao(F, factor))``, from the
-    training-contracted block ``yf = Y F*`` of shape (K, T, N).
+    training-contracted block ``yf = Y F*`` of shape (K, T, N) and the
+    conjugated factor ``factor_conj``.
 
     Mode 1 (the channel update) contracts the symbol axis with the (T, N)
-    ``factor``; mode 2 (the symbol-block update) contracts the subcarrier
-    axis with the (K, N) ``factor``.
+    factor; mode 2 (the symbol-block update) contracts the subcarrier axis
+    with the (K, N) factor.
     """
-    return _conj_rhs(yf, factor.conj(), mode)
-
-
-def _conj_rhs(yf: np.ndarray, factor_conj: np.ndarray, mode: int) -> np.ndarray:
-    """``normal_rhs`` from the already conjugated factor."""
     spec = "ktn,tn->kn" if mode == 1 else "ktn,kn->tn"
     return np.einsum(spec, yf, factor_conj)
 
@@ -257,6 +254,7 @@ def bals(
     f: np.ndarray,
     cfg: BalsConfig | None = None,
     rng: np.random.Generator | None = None,
+    spectrum: TrainingSpectrum | None = None,
 ) -> BalsResult:
     """Alternating least-squares fit of (H, X) given the received block and F.
 
@@ -276,6 +274,8 @@ def bals(
     cfg : solver knobs; defaults to ``BalsConfig()``.
     rng : source for the random symbol-block initialisation; required unless
         ``cfg.init`` is given.
+    spectrum : ``training_spectrum(f)``, when the caller already has it;
+        otherwise ``bals`` takes it, with the same result bit for bit.
 
     Returns
     -------
@@ -312,12 +312,10 @@ def bals(
     # 2009, sec. 3.4): the Gram of khatri_rao(F, X) is (F^T F*) o (X^T X*),
     # and Y1 @ khatri_rao(F, X)* contracts the training first, so the
     # training enters each iteration only through these two per-trial terms.
-    fc = f.conj()
-    gf = f.T @ fc
-    yf = (y.reshape(k * t, p) @ fc).reshape(k, t, n)
-    # Smallest eigenvalue of F^T F*, for the Schur bound that lets most
+    # The smallest eigenvalue of F^T F* feeds the Schur bound that lets most
     # half-steps skip the Cholesky guard (see _SCHUR_PIVOT_MARGIN).
-    gf_min = float(np.linalg.eigvalsh(gf)[0])
+    gf, gf_min, _ = spectrum or training_spectrum(f)
+    yf = (y.reshape(k * t, p) @ f.conj()).reshape(k, t, n)
     gamma = _residual_gamma(k, t, p, n)
     # Each factor is conjugated once, for its Gram and the right-hand side;
     # X's Gram serves both the residual and the next iteration's channel
@@ -334,7 +332,7 @@ def bals(
             gram = gf * gx
             h_hat = _normal_solve(
                 gram,
-                _conj_rhs(yf, xc, 1),
+                normal_rhs(yf, xc, 1),
                 _schur_certified(gf_min, gram.diagonal().real.tolist(), gx_diag),
             )
             if h_hat is None:
@@ -343,7 +341,7 @@ def bals(
             gh = h_hat.T @ hc
             gram = gf * gh
             gram_diag = gram.diagonal().real.tolist()
-            rhs = _conj_rhs(yf, hc, 2)
+            rhs = normal_rhs(yf, hc, 2)
             x_hat = _normal_solve(
                 gram,
                 rhs,
@@ -434,9 +432,11 @@ def two_stage_estimate(
     s1_ref: complex,
     cfg: BalsConfig | None = None,
     rng: np.random.Generator | None = None,
+    spectrum: TrainingSpectrum | None = None,
 ) -> EstimateReport:
-    """Full receiver: alternating-LS stage, rank-one split, ambiguity fix."""
-    res = bals(y, f, cfg=cfg, rng=rng)
+    """Full receiver: alternating-LS stage, rank-one split, ambiguity fix.
+    ``spectrum`` is passed on to ``bals``."""
+    res = bals(y, f, cfg=cfg, rng=rng, spectrum=spectrum)
     split = rank1_factorize(res.x_hat)
     h_out, s_out, m_out = remove_ambiguity(
         res.h_hat, split.s_hat, split.m_hat, s1_ref
@@ -465,10 +465,12 @@ def flop_estimate(k: int, t: int, p: int, n: int) -> int:
       t * n + n^2
 
     The count does not depend on ``p``: the training enters the loop only
-    through per-trial terms.  Those (``F^T F*`` and its eigenvalues,
-    ``Y F*``), the Cholesky guard of an uncertified half-step (n^3 / 6
-    each), the explicit misfit formed when the Gram form cannot decide a
-    stop, and the rare pseudo-inverse fallback are not counted.
+    through per-trial terms.  Those are not counted: ``Y F*`` (k t p n),
+    and ``F^T F*`` with its eigenvalues, which a drawn training's rank
+    check has already taken (``channels.training_spectrum``).  Nor are the
+    Cholesky guard of an uncertified half-step (n^3 / 6 each), the
+    explicit misfit formed when the Gram form cannot decide a stop, and
+    the rare pseudo-inverse fallback.
     """
     if min(k, t, p, n) < 1:
         raise ValueError("all dimensions must be positive")

@@ -65,11 +65,14 @@ def add_noise(
     y = rt.y
     sig = float(np.linalg.norm(y) ** 2)
     var = sig / (y.size * 10.0 ** (snr_db / 10.0))
-    scale = np.sqrt(var / 2.0)
-    noise = scale * (
-        rng.standard_normal(y.shape) + 1j * rng.standard_normal(y.shape)
-    )
-    return ReceivedTensor(y=y + noise, snr_db=float(snr_db), noise_variance=var)
+    # One complex buffer, real parts drawn first, scaled and added in place:
+    # bit for bit ``y + scale * (re + 1j * im)``.
+    noisy = np.empty(y.shape, dtype=complex)
+    noisy.real = rng.standard_normal(y.shape)
+    noisy.imag = rng.standard_normal(y.shape)
+    noisy *= np.sqrt(var / 2.0)
+    noisy += y
+    return ReceivedTensor(y=noisy, snr_db=float(snr_db), noise_variance=var)
 
 
 def identifiability_preflight(k: int, t: int, p: int, n: int) -> IdentifiabilityReport:

@@ -1,11 +1,14 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
+from dmasim import campaign
 from dmasim.campaign import (
+    _COLUMNS,
     CSV_HEADER,
     CSV_SCHEMA,
     MetricRow,
@@ -23,7 +26,7 @@ from dmasim.campaign import (
     write_results_csv,
     write_summary_json,
 )
-from dmasim.config import RECEIVERS, ExperimentConfig
+from dmasim.config import RECEIVERS, ExperimentConfig, load_config_file
 from dmasim.receiver import EstimateReport
 
 
@@ -115,6 +118,65 @@ def test_score_flags_a_zero_channel_column_as_a_degenerate_fit():
     assert math.isnan(tr.nmse_h)
 
 
+def _count_linalg(monkeypatch):
+    """Shapes passed to ``eigvalsh``, ``matrix_rank`` and ``svd``."""
+    calls = {"eigvalsh": [], "matrix_rank": [], "svd": []}
+    for name, seen in calls.items():
+        real = getattr(np.linalg, name)
+
+        def counted(a, *args, _real=real, _seen=seen, **kwargs):
+            _seen.append(a.shape)
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_lorentzian_trial_looks_at_the_training_spectrum_once(monkeypatch):
+    # The rank check's eigenvalues serve the receiver; F itself is never
+    # decomposed (matrix_rank would take its SVD).
+    cfg = _tiny()
+    calls = _count_linalg(monkeypatch)
+    assert run_trial(cfg, 10.0, 0, 0).failed is None
+    assert calls["eigvalsh"] == [(cfg.N, cfg.N)]
+    assert calls["matrix_rank"] == []
+    assert (cfg.P, cfg.N) not in calls["svd"]
+
+
+def test_dft_trial_reuses_the_remembered_training_spectrum(monkeypatch):
+    cfg = _tiny(training="semi-unitary-dft")
+    assert run_trial(cfg, 10.0, 0, 0).failed is None
+    calls = _count_linalg(monkeypatch)
+    assert run_trial(cfg, 10.0, 0, 1).failed is None
+    assert calls["eigvalsh"] == calls["matrix_rank"] == []
+    assert (cfg.P, cfg.N) not in calls["svd"]
+
+
+_DESK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg")
+_DESK_ROWS = os.path.join(os.path.dirname(__file__), "data", "desk_proposed_rows.json")
+
+
+@pytest.mark.parametrize("training", ["lorentzian", "semi-unitary-dft"])
+def test_desk_proposed_rows_match_the_recorded_reference(training):
+    # Rows recorded for configs/desk.cfg at seed 0 with 20 trials per point.
+    # Iteration means, SER and counts are exact; NMSE may move by roundoff.
+    with open(_DESK_ROWS, encoding="utf-8") as fh:
+        reference = json.load(fh)[training]
+    base, _ = load_config_file(_DESK_CFG)
+    cfg = dataclasses.replace(base, seed=0, trials=20, training=training)
+    rows = run_campaign(cfg)
+    assert len(rows) == len(reference)
+    for row, ref in zip(rows, reference):
+        for name, field in _COLUMNS:
+            if name == "mean_runtime_s":
+                continue
+            got, want = getattr(row, field), ref[name]
+            if name.startswith("nmse"):
+                assert abs(got - want) <= 1e-9, name
+            else:
+                assert got == want, name
+
+
 def test_run_trial_counts_generation_failures():
     cfg = _tiny(P=8, training="lorentzian")  # P < N cannot reach full rank
     tr = run_trial(cfg, 10.0, 0, 0)
@@ -164,6 +226,19 @@ def test_campaign_rows_are_identical_across_thread_counts():
     rows1 = run_campaign(cfg1)
     rows4 = run_campaign(cfg4)
     assert render_csv(rows1, cfg1) == render_csv(rows4, cfg1)
+
+
+def test_campaign_pool_is_no_larger_than_its_task_list(monkeypatch):
+    sizes = []
+    real = campaign.ThreadPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(campaign, "ThreadPoolExecutor", recording)
+    run_campaign(_tiny(threads=8, trials=1))  # two SNR points, two tasks
+    assert sizes == [2]
 
 
 def test_campaign_rows_depend_on_the_seed():

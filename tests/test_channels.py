@@ -1,3 +1,6 @@
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,6 +9,7 @@ from scipy import stats
 
 from dmasim.channels import (
     GenerationError,
+    full_column_rank,
     gen_dft_training,
     gen_inner_physical,
     gen_inner_random_phase,
@@ -16,6 +20,7 @@ from dmasim.channels import (
     lorentzian_entry,
     qam_alphabet,
     qam_demap,
+    training_spectrum,
 )
 from helpers import demap_oracle
 
@@ -94,6 +99,111 @@ def test_lorentzian_training_shape_rank_and_circle():
 def test_lorentzian_training_needs_enough_rows():
     with pytest.raises(GenerationError):
         gen_lorentzian_training(3, 5, np.random.default_rng(0))
+
+
+def _count_matrix_rank(monkeypatch):
+    calls = []
+    real = np.linalg.matrix_rank
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counted)
+    return calls
+
+
+@given(seed=st.integers(0, 2**63 - 1), shape=st.sampled_from([(32, 16), (128, 64)]))
+def test_certified_rank_decides_lorentzian_draws_as_matrix_rank(seed, shape):
+    n = shape[1]
+    f = lorentzian_entry(
+        np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=shape)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _count_matrix_rank(mp)
+        decided = full_column_rank(f)
+    assert calls == []  # the eigenvalue certificate decided
+    assert decided == (np.linalg.matrix_rank(f) == n)
+
+
+def _outcome(fn, f):
+    try:
+        return fn(f)
+    except np.linalg.LinAlgError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("perturbation", [0.0, 1e-15, 1e-10, "nan"])
+def test_certified_rank_declines_near_singular_and_nan_training(
+    perturbation, monkeypatch
+):
+    f = gen_lorentzian_training(32, 16, np.random.default_rng(5)).copy()
+    if perturbation == "nan":
+        f[3, 7] = np.nan
+    else:
+        noise = np.random.default_rng(6).standard_normal(32)
+        f[:, 1] = f[:, 0] * (1.0 + perturbation * noise)
+    expected = _outcome(lambda a: bool(np.linalg.matrix_rank(a) == 16), f)
+    calls = _count_matrix_rank(monkeypatch)
+    assert _outcome(full_column_rank, f) == expected
+    assert calls == [(32, 16)]  # the certificate declined; matrix_rank decided
+    if perturbation != "nan":
+        # A 1e-10 perturbation leaves the columns independent to matrix_rank.
+        assert expected is (perturbation == 1e-10)
+
+
+def test_drawn_training_is_read_only_and_its_spectrum_remembered(monkeypatch):
+    f = gen_lorentzian_training(32, 16, np.random.default_rng(7))
+    assert not f.flags.writeable
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a)
+    )
+    spectrum = training_spectrum(f)
+    assert calls == []  # taken by the rank check of the draw
+    gram = f.T @ f.conj()
+    eigs = real(gram)
+    np.testing.assert_array_equal(spectrum.gram, gram)
+    assert (spectrum.low, spectrum.high) == (eigs[0], eigs[-1])
+    assert not spectrum.gram.flags.writeable
+    # A writable copy is neither looked up nor remembered.
+    copy = f.copy()
+    assert training_spectrum(copy).low == spectrum.low
+    assert training_spectrum(copy).low == spectrum.low
+    assert calls == [(16, 16), (16, 16)]
+
+
+def test_remembered_spectrum_is_per_thread(monkeypatch):
+    # Thread A draws, then thread B draws, then A asks for its training's
+    # spectrum: with one entry per thread, B's draw does not evict A's.
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a)
+    )
+    a_drew, b_drew = threading.Event(), threading.Event()
+    seen = {}
+
+    def thread_a():
+        f = gen_lorentzian_training(12, 5, np.random.default_rng(1))
+        a_drew.set()
+        assert b_drew.wait(timeout=30)
+        before = len(calls)
+        seen["gram"] = training_spectrum(f).gram
+        seen["new_calls"] = len(calls) - before
+        seen["expected"] = f.T @ f.conj()
+
+    def thread_b():
+        assert a_drew.wait(timeout=30)
+        gen_lorentzian_training(12, 5, np.random.default_rng(2))
+        b_drew.set()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for future in [pool.submit(thread_a), pool.submit(thread_b)]:
+            future.result(timeout=60)
+    assert seen["new_calls"] == 0
+    np.testing.assert_array_equal(seen["gram"], seen["expected"])
 
 
 def test_dft_training_two_by_two_frozen():

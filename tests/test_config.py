@@ -3,6 +3,7 @@ import dataclasses
 import pytest
 
 from dmasim.config import (
+    MAX_THREADS,
     ConfigError,
     ExperimentConfig,
     config_sha,
@@ -36,6 +37,9 @@ def test_format_round_trips_through_the_parser():
 def test_config_sha_is_stable_and_sensitive():
     cfg = ExperimentConfig()
     assert config_sha(cfg) == config_sha(ExperimentConfig())
+    # Pinned: a new field or a changed default would move every sha.
+    assert config_sha(cfg) == "c8900d79fc51"
+    assert config_sha(dataclasses.replace(cfg, threads=4)) == "71f36b84fb0e"
     assert len(config_sha(cfg)) == 12
     bumped = dataclasses.replace(cfg, seed=cfg.seed + 1)
     assert config_sha(bumped) != config_sha(cfg)
@@ -131,6 +135,22 @@ def test_validate_rejects_bad_configs(override):
     cfg = dataclasses.replace(ExperimentConfig(), **override)
     with pytest.raises(ConfigError):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize("threads", [0, MAX_THREADS + 1, 10_000])
+def test_validate_rejects_threads_outside_the_ceiling(threads, tmp_path):
+    # Checked when the config is parsed; no thread is ever started here.
+    with pytest.raises(ConfigError, match="threads"):
+        validate_config(dataclasses.replace(ExperimentConfig(), threads=threads))
+    path = tmp_path / "threads.cfg"
+    path.write_text(f"threads = {threads}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="threads"):
+        load_config_file(str(path))
+
+
+def test_validate_accepts_threads_up_to_the_ceiling():
+    for threads in (1, 4, MAX_THREADS):
+        validate_config(dataclasses.replace(ExperimentConfig(), threads=threads))
 
 
 def test_validate_warns_on_rank_deficient_training():

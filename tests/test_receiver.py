@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dmasim.channels import (
     gen_dft_training,
+    training_spectrum,
     gen_lorentzian_training,
     gen_qam,
     gen_wireless,
@@ -172,6 +173,7 @@ def test_bals_equal_columns_take_the_fallback(monkeypatch):
     # definite (Schur product theorem); equal training columns as well make
     # two columns of khatri_rao(F, X) identical, in both half-steps.
     h, m, s, f, x = _scene(29)
+    f = f.copy()  # a drawn training is read-only
     f[:, 1] = f[:, 0]
     rt = add_noise(build_noiseless(h, x, f), 10.0, np.random.default_rng(30))
     x0 = rand_cn(np.random.default_rng(31), 8, 6)
@@ -282,6 +284,23 @@ def test_bals_certificate_changes_no_bit(seed, snr_db, monkeypatch):
     assert on.converged == off.converged
 
 
+@pytest.mark.parametrize("snr_db", [10.0, 60.0, None])
+def test_bals_with_the_spectrum_supplied_changes_no_bit(snr_db, monkeypatch):
+    h, m, s, f, x = _scene(44, k=8, t=10, p=32, n=16, order=64)
+    rt = add_noise(build_noiseless(h, x, f), snr_db, np.random.default_rng(45))
+    spectrum = training_spectrum(f)
+    eig_calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    spectrum_calls = _count_calls(monkeypatch, receiver, "training_spectrum")
+    given_ = bals(rt.y, f, rng=np.random.default_rng(46), spectrum=spectrum)
+    assert eig_calls == [] and spectrum_calls == []
+    # A writable copy is not remembered, so bals takes its spectrum afresh.
+    taken = bals(rt.y, f.copy(), rng=np.random.default_rng(46))
+    assert len(eig_calls) == len(spectrum_calls) == 1
+    for name in ("h_hat", "x_hat", "residuals"):
+        assert getattr(given_, name).tobytes() == getattr(taken, name).tobytes()
+    assert given_.converged == taken.converged
+
+
 @pytest.mark.parametrize(
     "p, snr_db",  # P > N and P == N, N = 6
     [
@@ -370,7 +389,7 @@ def _gram_fit(y, f, h, x):
     gx = x.T @ x.conj()
     return receiver._gram_misfit(
         float(np.linalg.norm(y)), receiver._residual_gamma(k, t, p, n), x,
-        receiver.normal_rhs(yf, h, 2), gram, gx, _diag(gram), _diag(gx),
+        receiver.normal_rhs(yf, h.conj(), 2), gram, gx, _diag(gram), _diag(gx),
     )
 
 

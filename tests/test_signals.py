@@ -48,6 +48,17 @@ def test_add_noise_variance_formula_is_exact():
     assert noisy.snr_db == 10.0
 
 
+def test_add_noise_is_the_unfused_sum_bit_for_bit():
+    rt = _noiseless_block()
+    noisy = add_noise(rt, 7.0, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    scale = np.sqrt(noisy.noise_variance / 2.0)
+    expected = rt.y + scale * (
+        rng.standard_normal(rt.y.shape) + 1j * rng.standard_normal(rt.y.shape)
+    )
+    assert noisy.y.tobytes() == expected.tobytes()
+
+
 def test_add_noise_realised_snr_tracks_request():
     rt = _noiseless_block(k=16, t=16, p=16, n=4)
     for snr_db in (0.0, 15.0, 30.0):
