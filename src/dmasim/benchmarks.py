@@ -5,7 +5,7 @@ least-squares updates of the iterative receiver collapse to single matched
 filters: the Gram matrix to invert becomes diagonal, with entries read off
 the column energies of the other factor.  The functions here implement
 those collapsed forms as the receiver's own half-step right-hand side
-(``receiver.normal_rhs``) times the diagonal inverse Gram.
+(``receiver.conj_rhs``) times the diagonal inverse Gram.
 
 Oracle side information: the weights ``m_tilde[n] = 1/|m[n]|^2`` and
 ``h_tilde[n] = 1/||H[:, n]||^2`` — and, for the channel estimators, the
@@ -17,7 +17,7 @@ so campaign comparisons stay honestly labelled.
 import numpy as np
 
 from .channels import gen_dft_training
-from .receiver import EstimateReport, normal_rhs, rank1_factorize, remove_ambiguity
+from .receiver import EstimateReport, conj_rhs, rank1_factorize, remove_ambiguity
 from .signals import build_rank_one
 # No filter here forms a Khatri-Rao product; the name stays bound because
 # the benchmark's tracer (bench/child.py) counts calls to
@@ -63,7 +63,7 @@ def _matched_filter(
 
     The unfolding is folded back into a (K, T, P) view and contracted with
     ``F*`` once, giving the block ``yf`` that ``receiver.bals`` forms; the
-    receiver's half-step right-hand side (``normal_rhs``) then contracts it
+    receiver's half-step right-hand side (``conj_rhs``) then contracts it
     with ``conj(factor)``, and ``weights`` is the diagonal of the inverse
     Gram.
     """
@@ -71,7 +71,7 @@ def _matched_filter(
     block = y_unf.reshape(y_unf.shape[0], p, -1)  # [row, p, column]
     y = block.transpose(0, 2, 1) if mode == 1 else block.transpose(2, 0, 1)
     yf = (y.reshape(-1, p) @ f.conj()).reshape(y.shape[0], y.shape[1], -1)
-    return normal_rhs(yf, factor.conj(), mode) * weights
+    return conj_rhs(yf, factor.conj(), mode) * weights
 
 
 def semi_unitary_h(

@@ -38,7 +38,6 @@ from . import __version__
 from .benchmarks import data_aided_estimate, pilot_aided_estimate
 from .channels import (
     GenerationError,
-    TrainingSpectrum,
     gen_dft_training,
     gen_inner_physical,
     gen_inner_random_phase,
@@ -46,7 +45,6 @@ from .channels import (
     gen_pilots,
     gen_qam,
     gen_wireless,
-    training_spectrum,
 )
 from .config import ExperimentConfig, config_sha, validate_config
 from .metrics import diagonal_fit, nmse, ser, to_db
@@ -113,7 +111,6 @@ class Scene:
     s: np.ndarray  # symbols, or the pilot block (T,)
     x: np.ndarray  # symbol block outer(s, m) (T, N)
     f: np.ndarray  # training (P, N)
-    spectrum: TrainingSpectrum  # F^T F* and its extreme eigenvalues
     y: np.ndarray  # received tensor (K, T, P)
     snr_idx: int
     trial: int
@@ -142,15 +139,9 @@ def draw_scene(
         f = gen_lorentzian_training(cfg.P, cfg.N, rng(_TAG_TRAINING))
     else:
         f = gen_dft_training(cfg.P, cfg.N)
-    # Both trainings are read-only, so the spectrum is remembered: from the
-    # rank check of this draw, or from an earlier trial's shared DFT matrix.
-    spectrum = training_spectrum(f)
     x = build_rank_one(s, m)
     y = add_noise(build_noiseless(h, x, f), snr_db, rng(_TAG_NOISE)).y
-    return Scene(
-        h=h, m=m, s=s, x=x, f=f, spectrum=spectrum, y=y,
-        snr_idx=snr_idx, trial=trial,
-    )
+    return Scene(h=h, m=m, s=s, x=x, f=f, y=y, snr_idx=snr_idx, trial=trial)
 
 
 def estimate(cfg: ExperimentConfig, scene: Scene) -> EstimateReport:
@@ -161,7 +152,6 @@ def estimate(cfg: ExperimentConfig, scene: Scene) -> EstimateReport:
             scene.y, scene.f, s1_ref=scene.s[0],
             cfg=BalsConfig(max_iters=cfg.max_iters, tol=cfg.tol, rcond=cfg.rcond),
             rng=_trial_rng(cfg.seed, scene.snr_idx, scene.trial, _TAG_INIT),
-            spectrum=scene.spectrum,
         )
     if cfg.receiver == "bench-data-aided":
         return data_aided_estimate(

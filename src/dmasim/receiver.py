@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import TrainingSpectrum, training_spectrum
+from .channels import training_spectrum
 from .tensor_ops import (
     NumericalError,
     khatri_rao,
@@ -146,7 +146,7 @@ def _normal_solve(
     return np.linalg.solve(gram.conj(), rhs.T).T
 
 
-def normal_rhs(yf: np.ndarray, factor_conj: np.ndarray, mode: int) -> np.ndarray:
+def conj_rhs(yf: np.ndarray, factor_conj: np.ndarray, mode: int) -> np.ndarray:
     """Right-hand side of a half-step's normal equations,
     ``unfold_mode{mode}(Y) @ conj(khatri_rao(F, factor))``, from the
     training-contracted block ``yf = Y F*`` of shape (K, T, N) and the
@@ -254,7 +254,6 @@ def bals(
     f: np.ndarray,
     cfg: BalsConfig | None = None,
     rng: np.random.Generator | None = None,
-    spectrum: TrainingSpectrum | None = None,
 ) -> BalsResult:
     """Alternating least-squares fit of (H, X) given the received block and F.
 
@@ -274,8 +273,6 @@ def bals(
     cfg : solver knobs; defaults to ``BalsConfig()``.
     rng : source for the random symbol-block initialisation; required unless
         ``cfg.init`` is given.
-    spectrum : ``training_spectrum(f)``, when the caller already has it;
-        otherwise ``bals`` takes it, with the same result bit for bit.
 
     Returns
     -------
@@ -313,8 +310,9 @@ def bals(
     # and Y1 @ khatri_rao(F, X)* contracts the training first, so the
     # training enters each iteration only through these two per-trial terms.
     # The smallest eigenvalue of F^T F* feeds the Schur bound that lets most
-    # half-steps skip the Cholesky guard (see _SCHUR_PIVOT_MARGIN).
-    gf, gf_min, _ = spectrum or training_spectrum(f)
+    # half-steps skip the Cholesky guard (see _SCHUR_PIVOT_MARGIN).  A drawn
+    # training's spectrum is remembered from its rank check.
+    gf, gf_min, _ = training_spectrum(f)
     yf = (y.reshape(k * t, p) @ f.conj()).reshape(k, t, n)
     gamma = _residual_gamma(k, t, p, n)
     # Each factor is conjugated once, for its Gram and the right-hand side;
@@ -332,7 +330,7 @@ def bals(
             gram = gf * gx
             h_hat = _normal_solve(
                 gram,
-                normal_rhs(yf, xc, 1),
+                conj_rhs(yf, xc, 1),
                 _schur_certified(gf_min, gram.diagonal().real.tolist(), gx_diag),
             )
             if h_hat is None:
@@ -341,7 +339,7 @@ def bals(
             gh = h_hat.T @ hc
             gram = gf * gh
             gram_diag = gram.diagonal().real.tolist()
-            rhs = normal_rhs(yf, hc, 2)
+            rhs = conj_rhs(yf, hc, 2)
             x_hat = _normal_solve(
                 gram,
                 rhs,
@@ -432,11 +430,9 @@ def two_stage_estimate(
     s1_ref: complex,
     cfg: BalsConfig | None = None,
     rng: np.random.Generator | None = None,
-    spectrum: TrainingSpectrum | None = None,
 ) -> EstimateReport:
-    """Full receiver: alternating-LS stage, rank-one split, ambiguity fix.
-    ``spectrum`` is passed on to ``bals``."""
-    res = bals(y, f, cfg=cfg, rng=rng, spectrum=spectrum)
+    """Full receiver: alternating-LS stage, rank-one split, ambiguity fix."""
+    res = bals(y, f, cfg=cfg, rng=rng)
     split = rank1_factorize(res.x_hat)
     h_out, s_out, m_out = remove_ambiguity(
         res.h_hat, split.s_hat, split.m_hat, s1_ref
