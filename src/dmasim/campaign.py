@@ -5,13 +5,15 @@ builds its noisy received tensor, ``estimate`` runs the configured receiver
 on it, and ``score`` compares the estimates with the ground truth.
 ``run_trial`` chains them and times the estimate stage alone.
 
-Determinism contract: every trial derives its own generators from
-``default_rng([seed, snr_index, trial_index, quantity_tag])``, one
-generator per random quantity (channel, inner response, symbols, training,
-noise, solver init).  Results are stored by trial index and aggregated in
-that fixed order, so the scientific outputs are identical for any
-``threads`` setting and any scheduling.  Wall-clock runtime is the one
-environment-dependent quantity; with ``timing = false`` the CSV puts
+Determinism contract: every trial draws each random quantity (channel,
+inner response, symbols, training, noise, solver init) from exactly the
+stream of ``default_rng([seed, snr_index, trial_index, quantity_tag])``.
+The generators' seed words are computed in blocks of trials by a
+vectorised port of numpy's ``SeedSequence`` hash, checked against numpy
+once per block (``_trial_rng``).  Results are stored by trial index and
+aggregated in that fixed order, so the scientific outputs are identical
+for any ``threads`` setting and any scheduling.  Wall-clock runtime is the
+one environment-dependent quantity; with ``timing = false`` the CSV puts
 ``nan`` in its column, making the whole file byte-reproducible, while the
 JSON summary always carries the measured values.
 
@@ -27,12 +29,14 @@ import functools
 import json
 import math
 import os
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
 from .benchmarks import data_aided_estimate, pilot_aided_estimate
@@ -60,7 +64,8 @@ from .signals import add_noise, build_noiseless, build_rank_one
 # RNG substream tags, one per random quantity drawn in a trial.
 _TAG_CHANNEL, _TAG_INNER, _TAG_SYMBOLS, _TAG_TRAINING, _TAG_NOISE, _TAG_INIT = range(6)
 
-# (output column, MetricRow field) in CSV order; the summary rows add two more.
+# (output column, MetricRow field) in CSV order; the summary rows add the
+# MetricRow fields in _SUMMARY_ONLY.
 _COLUMNS = (
     ("snr_db", "snr_db"),
     ("nmse_H_db", "nmse_h_db"),
@@ -71,9 +76,13 @@ _COLUMNS = (
     ("trials", "trials"),
     ("failed", "failed"),
 )
+_SUMMARY_ONLY = (
+    "converged_fraction", "iters_p50", "iters_p90", "iters_max", "max_iters_hit",
+    "failure_categories",
+)
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 CSV_SCHEMA = "dmasim-results-v1"
-SUMMARY_SCHEMA = "dmasim-summary-v2"
+SUMMARY_SCHEMA = "dmasim-summary-v3"
 NMSE_FIT_LABEL = "shared-diagonal"
 
 
@@ -99,6 +108,10 @@ class MetricRow:
     trials: int  # successful trials contributing to the means
     failed: int
     converged_fraction: float
+    iters_p50: float  # nearest-rank iteration counts of the successful trials
+    iters_p90: float
+    iters_max: float
+    max_iters_hit: int  # successful trials that stopped unconverged
     failure_categories: dict
 
 
@@ -116,8 +129,95 @@ class Scene:
     trial: int
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), fixed
+# by its stream-compatibility policy.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 2**32 - 1
+_SEED_BLOCK = 256  # trials whose seed words are computed together
+_SEEDS = threading.local()  # per thread: the current block of seed words
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's ``hashmix``, elementwise on uint32 arrays."""
+
+    def hashmix(value):
+        nonlocal const
+        value = (value ^ const) * (const := const * mult & _MASK32)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x, y):
+    r = _MIX_L * x - _MIX_R * y
+    return r ^ r >> 16
+
+
+def _seed_block(seed: int, snr_idx: int, start: int) -> np.ndarray:
+    """``SeedSequence([seed, snr_idx, trial, tag]).generate_state(4, uint64)``
+    for ``_SEED_BLOCK`` trials from ``start`` and every tag, as a read-only
+    (trial, tag, 4) array: numpy's ``mix_entropy`` run on whole columns."""
+    entropy = [
+        np.array([[(n >> shift) & _MASK32]], np.uint32)
+        for n in (int(seed), int(snr_idx))
+        for shift in range(0, max(n.bit_length(), 1), 32)
+    ]
+    trials = np.arange(start, start + _SEED_BLOCK) & _MASK32
+    entropy.append(trials.astype(np.uint32)[:, None])
+    entropy.append(np.arange(_TAG_INIT + 1, dtype=np.uint32)[None, :])
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:  # a seed or SNR index of 2**32 and above
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = np.broadcast_arrays(*(hashmix(pool[i % 4]) for i in range(8)))
+    words = np.stack(out, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
+    words.flags.writeable = False
+    return words
+
+
+class _SeedWords(ISeedSequence):
+    """Seed words computed ahead, handed to ``PCG64`` as if from a
+    ``SeedSequence``; PCG64 asks for exactly four uint64 words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("seed words are computed for PCG64 only")
+        return self.words
+
+
 def _trial_rng(seed: int, snr_idx: int, trial: int, tag: int) -> np.random.Generator:
-    return np.random.default_rng([seed, snr_idx, trial, tag])
+    """A new generator on exactly the stream of ``default_rng([seed, snr_idx,
+    trial, tag])``.  Its seed words come from the thread's current block of
+    ``_SEED_BLOCK`` trials (``_seed_block``), whose first row is checked
+    against ``default_rng`` when the block is built; a block that fails the
+    check, and entropy of another word layout (a trial index of 2**32 or
+    more), go through ``default_rng`` itself."""
+    if not (min(seed, snr_idx) >= 0 and 0 <= trial < 2**32 and 0 <= tag <= _TAG_INIT):
+        return np.random.default_rng([seed, snr_idx, trial, tag])
+    block = getattr(_SEEDS, "block", None)
+    if block is None or block[0] != (seed, snr_idx) or not block[1] <= trial < block[2]:
+        start = trial - trial % _SEED_BLOCK
+        words = _seed_block(seed, snr_idx, start)
+        want = np.random.default_rng([seed, snr_idx, start, 0]).bit_generator.state
+        if np.random.PCG64(_SeedWords(words[0, 0])).state != want:
+            words = None
+        block = _SEEDS.block = (seed, snr_idx), start, start + _SEED_BLOCK, words
+    if block[3] is None:
+        return np.random.default_rng([seed, snr_idx, trial, tag])
+    words = block[3][trial - block[1], tag]
+    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
 
 
 def draw_scene(
@@ -215,6 +315,11 @@ def _aggregate(snr_db: float, trials: list[TrialResult]) -> MetricRow:
         return float(np.mean([getattr(t, field) for t in good])) if good else math.nan
 
     no_ser = all(math.isnan(t.ser) for t in good)  # pilot blocks carry no SER
+    iters = sorted(t.iterations for t in good)
+
+    def percentile(pct: int) -> float:
+        # Nearest rank: the smallest count that pct % of the trials do not exceed.
+        return iters[-(-len(iters) * pct // 100) - 1] if iters else math.nan
     return MetricRow(
         snr_db=snr_db,
         nmse_h_db=to_db(mean("nmse_h")),
@@ -225,6 +330,10 @@ def _aggregate(snr_db: float, trials: list[TrialResult]) -> MetricRow:
         trials=len(good),
         failed=len(failed),
         converged_fraction=mean("converged"),
+        iters_p50=percentile(50),
+        iters_p90=percentile(90),
+        iters_max=percentile(100),
+        max_iters_hit=sum(not t.converged for t in good),
         failure_categories=dict(Counter(failed)),
     )
 
@@ -319,8 +428,7 @@ def summary_dict(rows: list[MetricRow], cfg: ExperimentConfig) -> dict:
         "rows": [
             {
                 **{name: getattr(row, field) for name, field in _COLUMNS},
-                "converged_fraction": row.converged_fraction,
-                "failure_categories": row.failure_categories,
+                **{field: getattr(row, field) for field in _SUMMARY_ONLY},
             }
             for row in rows
         ],

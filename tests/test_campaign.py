@@ -2,9 +2,14 @@ import dataclasses
 import json
 import math
 import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dmasim import campaign
 from dmasim.campaign import (
@@ -13,6 +18,7 @@ from dmasim.campaign import (
     CSV_SCHEMA,
     MetricRow,
     NMSE_FIT_LABEL,
+    SUMMARY_SCHEMA,
     TrialResult,
     _aggregate,
     _trial_rng,
@@ -49,6 +55,145 @@ def test_trial_rng_streams_are_distinct_and_reproducible():
     d = _trial_rng(1, 2, 4, 0).standard_normal(4)
     assert not np.allclose(a, c)
     assert not np.allclose(a, d)
+
+
+def _assert_same_stream(rng, seed, snr_idx, trial, tag):
+    want = np.random.default_rng([seed, snr_idx, trial, tag])
+    assert rng.bit_generator.state == want.bit_generator.state
+    np.testing.assert_array_equal(rng.standard_normal(3), want.standard_normal(3))
+    np.testing.assert_array_equal(rng.integers(0, 64, 5), want.integers(0, 64, 5))
+
+
+_BOUNDARY_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**80 - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.one_of(st.sampled_from(_BOUNDARY_SEEDS), st.integers(0, 2**80 - 1)),
+    snr_idx=st.integers(0, 40),
+    # Trial indices of 2**32 and above take two entropy words: default_rng.
+    trial=st.one_of(st.integers(0, 10**6), st.integers(2**32 - 600, 2**32 + 600)),
+    tag=st.integers(0, campaign._TAG_INIT),
+)
+@example(seed=2**32 - 1, snr_idx=0, trial=0, tag=0)
+@example(seed=2**32, snr_idx=6, trial=255, tag=5)
+@example(seed=2**64 - 1, snr_idx=1, trial=256, tag=3)
+@example(seed=2**64, snr_idx=2, trial=2**32 - 1, tag=4)
+@example(seed=7, snr_idx=3, trial=2**32, tag=2)
+def test_trial_rng_is_default_rng_stream_for_stream(seed, snr_idx, trial, tag):
+    rng = _trial_rng(seed, snr_idx, trial, tag)
+    _assert_same_stream(rng, seed, snr_idx, trial, tag)
+
+
+def test_trial_rng_serves_every_tag_from_a_checked_block():
+    for tag in range(campaign._TAG_INIT + 1):
+        _assert_same_stream(_trial_rng(3, 1, 300, tag), 3, 1, 300, tag)
+    assert campaign._SEEDS.block[3] is not None  # the block passed its check
+
+
+def test_a_block_that_fails_its_check_falls_back_to_default_rng(monkeypatch):
+    # A wrong hash constant stands for a numpy whose seeding algorithm changed.
+    monkeypatch.setattr(campaign, "_SEEDS", threading.local())
+    monkeypatch.setattr(campaign, "_MULT_B", campaign._MULT_B ^ 1)
+    for trial in (0, 1, 100):
+        _assert_same_stream(_trial_rng(5, 2, trial, 4), 5, 2, trial, 4)
+    assert campaign._SEEDS.block[3] is None
+
+
+def test_trial_rng_generators_are_per_thread():
+    # A takes a generator, B then seeds another block and draws with the
+    # same tag, then A draws: A's stream and block are untouched by B's.
+    a_took, b_drew = threading.Event(), threading.Event()
+    seen = {}
+
+    def thread_a():
+        rng = _trial_rng(9, 0, 5, 2)
+        a_took.set()
+        assert b_drew.wait(timeout=30)
+        _assert_same_stream(rng, 9, 0, 5, 2)
+        seen["a_start"] = campaign._SEEDS.block[1]
+        seen["a"] = rng
+
+    def thread_b():
+        assert a_took.wait(timeout=30)
+        rng = _trial_rng(9, 0, 1000, 2)
+        rng.standard_normal(50)
+        seen["b_start"] = campaign._SEEDS.block[1]
+        seen["b"] = rng
+        b_drew.set()
+
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for future in [pool.submit(thread_a), pool.submit(thread_b)]:
+            future.result(timeout=60)
+    assert seen["a"] is not seen["b"]
+    assert seen["a_start"] == 0
+    assert seen["b_start"] == 1000 - 1000 % campaign._SEED_BLOCK
+
+
+def test_seeded_block_serves_a_desk_trial_without_seed_sequences(monkeypatch):
+    base, _ = load_config_file(_DESK_CFG)
+    assert run_trial(base, 10.0, 0, 0).failed is None  # seeds the block
+    made, seeds = [], []
+    for name in ("default_rng", "SeedSequence"):
+        real = getattr(np.random, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            made.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, name, counted)
+    real_pcg64 = np.random.PCG64
+
+    def pcg64(seed):
+        seeds.append(type(seed))
+        return real_pcg64(seed)
+
+    monkeypatch.setattr(np.random, "PCG64", pcg64)
+    assert run_trial(base, 10.0, 0, 1).failed is None
+    assert made == []
+    # One generator per quantity, each seeded from precomputed words.
+    assert seeds == [campaign._SeedWords] * (campaign._TAG_INIT + 1)
+
+
+@pytest.mark.parametrize("block", [1, 7, None])
+def test_campaign_rows_do_not_depend_on_the_seed_block_size(monkeypatch, block):
+    cfg = _tiny(trials=9, snr_grid_db=(0.0, 10.0, 20.0))
+    with monkeypatch.context() as plain:
+        plain.setattr(
+            campaign, "_trial_rng",
+            lambda *key: np.random.default_rng(list(key)),
+        )
+        want = render_csv(run_campaign(cfg), cfg)
+    monkeypatch.setattr(campaign, "_SEEDS", threading.local())
+    if block is not None:
+        monkeypatch.setattr(campaign, "_SEED_BLOCK", block)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # many thread switches inside each trial
+    try:
+        for threads in (1, 3):
+            rows = run_campaign(dataclasses.replace(cfg, threads=threads))
+            assert render_csv(rows, cfg) == want
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_seed_table_holds_one_block_per_thread(monkeypatch):
+    monkeypatch.setattr(campaign, "_SEEDS", threading.local())
+    cfg = _tiny(trials=10**6)
+
+    def draw_both():
+        for trial in (0, 999_999):
+            draw_scene(cfg, 10.0, 0, trial)
+        return dict(vars(campaign._SEEDS))
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        held = [draw_both(), pool.submit(draw_both).result(timeout=60)]
+    for state in held:
+        assert set(state) == {"block"}
+        key, start, stop, words = state["block"]
+        assert start <= 999_999 < stop == start + campaign._SEED_BLOCK
+        assert words.shape == (campaign._SEED_BLOCK, campaign._TAG_INIT + 1, 4)
+        assert not words.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -204,7 +349,21 @@ def test_aggregate_means_and_failure_bookkeeping():
     assert row.trials == 2
     assert row.failed == 3
     assert row.converged_fraction == pytest.approx(0.5)
+    assert (row.iters_p50, row.iters_p90, row.iters_max) == (10, 20, 20)
+    assert row.max_iters_hit == 1
     assert row.failure_categories == {"EstimationError": 2, "GenerationError": 1}
+
+
+@pytest.mark.parametrize(
+    "counts, want",
+    [(range(1, 11), (5, 9, 10)), (range(20, 0, -1), (10, 18, 20)), ([7], (7, 7, 7))],
+)
+def test_aggregate_iteration_counts_are_nearest_rank(counts, want):
+    trials = [TrialResult(iterations=n, converged=n < 20) for n in counts]
+    trials.append(TrialResult(iterations=999, failed="EstimationError"))
+    row = _aggregate(0.0, trials)
+    assert (row.iters_p50, row.iters_p90, row.iters_max) == want
+    assert row.max_iters_hit == sum(n >= 20 for n in counts)
 
 
 def test_aggregate_with_no_survivors_yields_nan_row():
@@ -213,6 +372,8 @@ def test_aggregate_with_no_survivors_yields_nan_row():
     assert row.failed == 3
     assert math.isnan(row.nmse_h_db)
     assert math.isnan(row.ser)
+    assert math.isnan(row.iters_p50) and math.isnan(row.iters_max)
+    assert row.max_iters_hit == 0
 
 
 def test_snr_grid_noiseless_override():
@@ -303,7 +464,7 @@ def test_summary_json_content(tmp_path):
     cfg = _tiny(receiver="bench-data-aided", training="semi-unitary-dft")
     rows = run_campaign(cfg)
     summary = summary_dict(rows, cfg)
-    assert summary["format"] == "dmasim-summary-v2"
+    assert summary["format"] == SUMMARY_SCHEMA == "dmasim-summary-v3"
     assert summary["seed"] == cfg.seed
     assert summary["nmse_fit"] == NMSE_FIT_LABEL
     assert summary["config"]["receiver"] == "bench-data-aided"
@@ -314,6 +475,14 @@ def test_summary_json_content(tmp_path):
     ]
     assert len(summary["rows"]) == len(rows)
     assert summary["rows"][0]["converged_fraction"] == 1.0
+    for row in summary["rows"]:  # the closed forms take one step
+        assert (row["iters_p50"], row["iters_p90"], row["iters_max"]) == (1, 1, 1)
+        assert row["max_iters_hit"] == 0
+    proposed = _tiny(max_iters=3)
+    rows = run_campaign(proposed)
+    for row in summary_dict(rows, proposed)["rows"]:
+        assert row["iters_max"] == 3 and row["iters_p50"] <= row["iters_p90"] <= 3
+        assert 0 < row["max_iters_hit"] <= row["trials"]
 
     path = tmp_path / "summary.json"
     write_summary_json(str(path), rows, cfg)
@@ -339,7 +508,7 @@ def _strict_load(path):
         (
             dict(P=8, trials=2),
             ["nmse_H_db", "nmse_m_db", "ser", "mean_iters", "mean_runtime_s",
-             "converged_fraction"],
+             "converged_fraction", "iters_p50", "iters_p90", "iters_max"],
         ),
     ],
 )
