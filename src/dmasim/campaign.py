@@ -10,12 +10,13 @@ inner response, symbols, training, noise, solver init) from exactly the
 stream of ``default_rng([seed, snr_index, trial_index, quantity_tag])``.
 The generators' seed words are computed in blocks of trials by a
 vectorised port of numpy's ``SeedSequence`` hash, checked against numpy
-once per block (``_trial_rng``).  Results are stored by trial index and
-aggregated in that fixed order, so the scientific outputs are identical
-for any ``threads`` setting and any scheduling.  Wall-clock runtime is the
-one environment-dependent quantity; with ``timing = false`` the CSV puts
-``nan`` in its column, making the whole file byte-reproducible, while the
-JSON summary always carries the measured values.
+once per block (``_trial_rng``).  Each SNR point's results come back in
+trial order and are aggregated before the next point starts, so the
+scientific outputs are identical for any ``threads`` setting and any
+scheduling.  Wall-clock runtime is the one environment-dependent
+quantity; with ``timing = false`` the CSV puts ``nan`` in its column,
+making the whole file byte-reproducible, while the JSON summary always
+carries the measured values.
 
 The per-SNR error metrics declare their ambiguity handling explicitly: the
 per-column (diagonal) scaling shared between the channel estimate and the
@@ -33,6 +34,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,26 +347,17 @@ def snr_grid(cfg: ExperimentConfig) -> tuple[float, ...]:
 def run_campaign(
     cfg: ExperimentConfig, out_dir: str | None = None
 ) -> list[MetricRow]:
-    """Run the full campaign; optionally write results.csv and summary.json
-    into ``out_dir``.  Returns one MetricRow per SNR point."""
+    """Run the campaign one SNR point at a time on one pool of
+    ``min(threads, trials)`` workers (none at 1); optionally write results.csv
+    and summary.json into ``out_dir``.  Returns one MetricRow per SNR point."""
     validate_config(cfg)
-    grid = snr_grid(cfg)
-    tasks = [(si, ti) for si in range(len(grid)) for ti in range(cfg.trials)]
-
-    def trial(task: tuple[int, int]) -> TrialResult:
-        return run_trial(cfg, grid[task[0]], *task)
-
-    if cfg.threads == 1:
-        results = list(map(trial, tasks))
-    else:
-        workers = min(cfg.threads, len(tasks))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(trial, tasks))
-    # Both maps keep task order: all trials of one SNR point, then the next.
-    rows = [
-        _aggregate(snr, results[si * cfg.trials:(si + 1) * cfg.trials])
-        for si, snr in enumerate(grid)
-    ]
+    workers = min(cfg.threads, cfg.trials)
+    rows = []
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for si, snr in enumerate(snr_grid(cfg)):
+            trial = functools.partial(run_trial, cfg, snr, si)
+            results = (pool.map if pool else map)(trial, range(cfg.trials))
+            rows.append(_aggregate(snr, list(results)))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_results_csv(os.path.join(out_dir, "results.csv"), rows, cfg)

@@ -24,6 +24,8 @@ INNER_MODELS = ("random-phase", "physical")
 # Each campaign thread is an OS thread; a typo such as threads = 10000 would
 # start that many.
 MAX_THREADS = 256
+# Checked before a range is expanded: 0:1e-6:1e6 would be 10**12 points.
+MAX_SNR_POINTS = 10_000
 
 
 class ConfigError(ValueError):
@@ -79,6 +81,8 @@ def _parse_snr_grid(raw: str) -> tuple[float, ...]:
             raise ConfigError(f"snr_grid_db range must be finite, got {raw!r}")
         if step <= 0:
             raise ConfigError("snr_grid_db range step must be positive")
+        if (stop - start) / step > MAX_SNR_POINTS:
+            raise ConfigError(f"snr_grid_db range has more than {MAX_SNR_POINTS} points")
         grid = []
         v = start
         while v <= stop + 1e-9:
@@ -213,6 +217,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             "snr_grid_db entries must be finite; use noiseless = true "
             "for the noise-free point"
         )
+    if len(cfg.snr_grid_db) > MAX_SNR_POINTS:
+        raise ConfigError(f"snr_grid_db has more than {MAX_SNR_POINTS} points")
     if not cfg.noiseless and len(cfg.snr_grid_db) == 0:
         raise ConfigError("snr_grid_db must not be empty for a noisy campaign")
     if cfg.training == "semi-unitary-dft" and cfg.P < cfg.N:

@@ -390,16 +390,49 @@ def test_campaign_rows_are_identical_across_thread_counts():
 
 
 def test_campaign_pool_is_no_larger_than_its_task_list(monkeypatch):
-    sizes = []
-    real = campaign.ThreadPoolExecutor
+    # Each SNR point maps its own trials, so one point's trial count bounds
+    # the pool; a single trial per point runs on the calling thread.
+    sizes, threads = [], set()
+    real_pool, real_trial = campaign.ThreadPoolExecutor, campaign.run_trial
 
     def recording(max_workers):
         sizes.append(max_workers)
-        return real(max_workers=max_workers)
+        return real_pool(max_workers=max_workers)
+
+    def trial(*args):
+        threads.add(threading.get_ident())
+        return real_trial(*args)
 
     monkeypatch.setattr(campaign, "ThreadPoolExecutor", recording)
-    run_campaign(_tiny(threads=8, trials=1))  # two SNR points, two tasks
-    assert sizes == [2]
+    monkeypatch.setattr(campaign, "run_trial", trial)
+    run_campaign(_tiny(threads=8, trials=3))  # two SNR points, three trials each
+    assert sizes == [3]
+    sizes.clear()
+    threads.clear()
+    run_campaign(_tiny(threads=8, trials=1))
+    assert sizes == []
+    assert threads == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_campaign_aggregates_each_point_before_the_next_starts(monkeypatch, threads):
+    calls, seen = [], []
+    real_trial, real_aggregate = campaign.run_trial, campaign._aggregate
+
+    def trial(*args):
+        calls.append(args)
+        return real_trial(*args)
+
+    def aggregate(snr_db, trials):
+        seen.append(len(calls))
+        return real_aggregate(snr_db, trials)
+
+    monkeypatch.setattr(campaign, "run_trial", trial)
+    monkeypatch.setattr(campaign, "_aggregate", aggregate)
+    cfg = _tiny(threads=threads, trials=4, snr_grid_db=(0.0, 10.0, 20.0))
+    rows = run_campaign(cfg)
+    assert seen == [4, 8, 12]
+    assert [row.trials + row.failed for row in rows] == [4, 4, 4]
 
 
 def test_campaign_rows_depend_on_the_seed():

@@ -1,8 +1,13 @@
 import dataclasses
+import glob
+import math
+import os
+import time
 
 import pytest
 
 from dmasim.config import (
+    MAX_SNR_POINTS,
     MAX_THREADS,
     ConfigError,
     ExperimentConfig,
@@ -56,6 +61,54 @@ def test_parser_handles_comments_ranges_and_sweeps():
     assert values["trials"] == 5
     assert values["snr_grid_db"] == (0.0, 10.0, 20.0, 30.0)
     assert sweeps == {"receiver": ("proposed", "bench-data-aided")}
+
+
+def _expanded(start, step, stop):
+    # Reference: the parser's loop, which every accepted range must still match.
+    grid, v = [], start
+    while v <= stop + 1e-9:
+        grid.append(round(v, 9))
+        v += step
+    return tuple(grid)
+
+
+@pytest.mark.parametrize("start, step, stop", [
+    (0, 5, 30), (0, 10, 30), (-10, 2.5, 40), (0, 0.1, 1), (5, 1, 0),
+    (0, 1, MAX_SNR_POINTS - 1), (0, 0.003, 0.003 * MAX_SNR_POINTS),
+])
+def test_range_grids_below_the_ceiling_parse_unchanged(start, step, stop):
+    values, _ = parse_config_text(f"snr_grid_db = {start}:{step}:{stop}\n")
+    assert values["snr_grid_db"] == _expanded(start, step, stop)
+
+
+def test_committed_configs_parse_their_range_unchanged():
+    root = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+    paths = sorted(glob.glob(os.path.join(root, "*.cfg")))
+    assert paths
+    for path in paths:
+        cfg, _ = load_config_file(path)
+        assert cfg.snr_grid_db == _expanded(0, 5, 30)
+
+
+@pytest.mark.parametrize("grid", ["0:1e-6:1e6", "0:1:1e300", f"0:1:{MAX_SNR_POINTS + 1}"])
+def test_oversized_range_is_rejected_before_it_is_expanded(tmp_path, grid):
+    # 0:1e-6:1e6 is 10**12 points; expanding it first hung ``validate``.
+    path = tmp_path / "wide.cfg"
+    path.write_text(f"snr_grid_db = {grid}\n", encoding="utf-8")
+    t0 = time.perf_counter()
+    with pytest.raises(ConfigError, match=str(MAX_SNR_POINTS)):
+        load_config_file(str(path))
+    assert time.perf_counter() - t0 < 0.5
+
+
+def test_validate_bounds_the_grid_length():
+    base = ExperimentConfig()
+    grid = tuple(float(v) for v in range(MAX_SNR_POINTS))
+    validate_config(dataclasses.replace(base, snr_grid_db=grid))
+    for noiseless in (False, True):
+        wide = dataclasses.replace(base, snr_grid_db=grid + (math.pi,), noiseless=noiseless)
+        with pytest.raises(ConfigError, match=str(MAX_SNR_POINTS)):
+            validate_config(wide)
 
 
 def test_parser_accepts_comma_grids():
