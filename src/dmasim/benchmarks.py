@@ -5,7 +5,10 @@ least-squares updates of the iterative receiver collapse to single matched
 filters: the Gram matrix to invert becomes diagonal, with entries read off
 the column energies of the other factor.  The functions here implement
 those collapsed forms as the receiver's own half-step right-hand side
-(``receiver.conj_rhs``) times the diagonal inverse Gram.
+(``receiver.conj_rhs``) times the diagonal inverse Gram.  The kernels
+take the training-contracted block ``Y F*`` (``receiver.contract_training``),
+which the composed estimators form once per received block; the public
+closed forms on unfoldings fold their input back and call the same kernels.
 
 Oracle side information: the weights ``m_tilde[n] = 1/|m[n]|^2`` and
 ``h_tilde[n] = 1/||H[:, n]||^2`` — and, for the channel estimators, the
@@ -17,12 +20,18 @@ so campaign comparisons stay honestly labelled.
 import numpy as np
 
 from .channels import gen_dft_training
-from .receiver import EstimateReport, conj_rhs, rank1_factorize, remove_ambiguity
+from .receiver import (
+    EstimateReport,
+    conj_rhs,
+    contract_training,
+    rank1_factorize,
+    remove_ambiguity,
+)
 from .signals import build_rank_one
 # No filter here forms a Khatri-Rao product; the name stays bound because
 # the benchmark's tracer (bench/child.py) counts calls to
 # benchmarks.khatri_rao, which read 0.
-from .tensor_ops import khatri_rao, unfold_mode1, unfold_mode2  # noqa: F401
+from .tensor_ops import fro_norm, khatri_rao, unfold_mode2  # noqa: F401
 
 _SEMI_UNITARY_RTOL = 1e-8
 
@@ -50,28 +59,50 @@ def _check_weights(w: np.ndarray, name: str) -> np.ndarray:
 
 def _check_pilots(pilots: np.ndarray) -> int:
     t = pilots.shape[0]
-    if abs(float(np.linalg.norm(pilots) ** 2) - t) > 1e-9 * t:
+    if abs(fro_norm(pilots) ** 2 - t) > 1e-9 * t:
         raise ValueError("pilot block must have squared norm T")
     return t
 
 
-def _matched_filter(
-    y_unf: np.ndarray, mode: int, f: np.ndarray, factor: np.ndarray, weights
-) -> np.ndarray:
-    """``y_unf @ conj(khatri_rao(F, factor)) * weights`` for a mode-1
-    (K, P*T) or mode-2 (T, P*K) unfolding, without the Khatri-Rao product.
-
-    The unfolding is folded back into a (K, T, P) view and contracted with
-    ``F*`` once, giving the block ``yf`` that ``receiver.bals`` forms; the
-    receiver's half-step right-hand side (``conj_rhs``) then contracts it
-    with ``conj(factor)``, and ``weights`` is the diagonal of the inverse
-    Gram.
-    """
-    p = f.shape[0]
-    block = y_unf.reshape(y_unf.shape[0], p, -1)  # [row, p, column]
+def _unfolded_yf(y_unf: np.ndarray, mode: int, f: np.ndarray) -> np.ndarray:
+    """``Y F*`` of the (K, T, P) block whose mode-1 (K, P*T) or mode-2
+    (T, P*K) unfolding is ``y_unf``: the unfolding is folded back into a
+    (K, T, P) view and contracted as ``receiver.bals`` contracts its block."""
+    block = y_unf.reshape(y_unf.shape[0], f.shape[0], -1)  # [row, p, column]
     y = block.transpose(0, 2, 1) if mode == 1 else block.transpose(2, 0, 1)
-    yf = (y.reshape(-1, p) @ f.conj()).reshape(y.shape[0], y.shape[1], -1)
-    return conj_rhs(yf, factor.conj(), mode) * weights
+    return contract_training(y, f)
+
+
+# The kernels: the receiver's half-step right-hand side (conj_rhs) on
+# ``yf = Y F*`` times the diagonal inverse Gram, the weight vector.
+def _channel_filter(
+    yf: np.ndarray, f: np.ndarray, x: np.ndarray, m_tilde: np.ndarray
+) -> np.ndarray:
+    p = _check_semi_unitary(f)
+    m_tilde = _check_weights(m_tilde, "m_tilde")
+    # column n of x is s * m[n], so ||x||_F^2 = ||s||^2 * sum_n |m[n]|^2
+    s_energy = fro_norm(x) ** 2 / float(np.sum(1.0 / m_tilde))
+    return conj_rhs(yf, x.conj(), 1) * (m_tilde / (p * s_energy))
+
+
+def _symbol_filter(
+    yf: np.ndarray, f: np.ndarray, h: np.ndarray, h_tilde: np.ndarray, t: int = 1
+) -> np.ndarray:
+    p = _check_semi_unitary(f)
+    h_tilde = _check_weights(h_tilde, "h_tilde")
+    # t: the pilot block's squared norm, when its symbols are contracted out
+    return conj_rhs(yf, h.conj(), 2) * (h_tilde / (p * t))
+
+
+def _pilot_channel_filter(
+    yf: np.ndarray, f: np.ndarray, pilots: np.ndarray, m: np.ndarray,
+    m_tilde: np.ndarray,
+) -> np.ndarray:
+    p = _check_semi_unitary(f)
+    m_tilde = _check_weights(m_tilde, "m_tilde")
+    t = _check_pilots(pilots)
+    x = build_rank_one(pilots, m)
+    return conj_rhs(yf, x.conj(), 1) * (m_tilde / (p * t))
 
 
 def semi_unitary_h(
@@ -84,20 +115,14 @@ def semi_unitary_h(
     equals ``Y1 @ pinv(KR(F, X).T)`` exactly, for noisy data too.  The
     symbol energy ``||s||^2`` is recovered from ``x`` and ``m_tilde``.
     """
-    p = _check_semi_unitary(f)
-    m_tilde = _check_weights(m_tilde, "m_tilde")
-    # column n of x is s * m[n], so ||x||_F^2 = ||s||^2 * sum_n |m[n]|^2
-    s_energy = float(np.linalg.norm(x) ** 2) / float(np.sum(1.0 / m_tilde))
-    return _matched_filter(y1, 1, f, x, m_tilde / (p * s_energy))
+    return _channel_filter(_unfolded_yf(y1, 1, f), f, x, m_tilde)
 
 
 def semi_unitary_x(
     y2: np.ndarray, f: np.ndarray, h: np.ndarray, h_tilde: np.ndarray
 ) -> np.ndarray:
     """Symbol-block estimate ``Y2 @ conj(KR(F, H)) @ diag(h_tilde) / P``."""
-    p = _check_semi_unitary(f)
-    h_tilde = _check_weights(h_tilde, "h_tilde")
-    return _matched_filter(y2, 2, f, h, h_tilde / p)
+    return _symbol_filter(_unfolded_yf(y2, 2, f), f, h, h_tilde)
 
 
 def pilot_aided_h(
@@ -109,11 +134,7 @@ def pilot_aided_h(
 ) -> np.ndarray:
     """Channel estimate from an all-pilot block:
     ``Y1 @ conj(KR(F, outer(pilots, m))) @ diag(m_tilde) / (P*T)``."""
-    p = _check_semi_unitary(f)
-    m_tilde = _check_weights(m_tilde, "m_tilde")
-    t = _check_pilots(pilots)
-    x = build_rank_one(pilots, m)
-    return _matched_filter(y1, 1, f, x, m_tilde / (p * t))
+    return _pilot_channel_filter(_unfolded_yf(y1, 1, f), f, pilots, m, m_tilde)
 
 
 def pilot_aided_m(
@@ -128,12 +149,10 @@ def pilot_aided_m(
 
     Equals ``semi_unitary_x(...).T @ conj(pilots) / T`` — a single matched
     filter against the pilot sequence."""
-    p = _check_semi_unitary(f)
-    h_tilde = _check_weights(h_tilde, "h_tilde")
     t = _check_pilots(pilots)
     # Contracting the pilots first leaves a mode-2 unfolding with one row.
     y2s = (pilots.conj() @ y2)[None, :]
-    return _matched_filter(y2s, 2, f, h, h_tilde / (p * t))[0]
+    return _symbol_filter(_unfolded_yf(y2s, 2, f), f, h, h_tilde, t)[0]
 
 
 def oracle_weights(h: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -160,10 +179,9 @@ def data_aided_estimate(
     report's residual trace is empty.
     """
     m_tilde, h_tilde = oracle_weights(h_true, m_true)
-    y1 = unfold_mode1(y)
-    y2 = unfold_mode2(y)
-    h_hat = semi_unitary_h(y1, f, x_true, m_tilde)
-    x_hat = semi_unitary_x(y2, f, h_true, h_tilde)
+    yf = contract_training(y, f)
+    h_hat = _channel_filter(yf, f, x_true, m_tilde)
+    x_hat = _symbol_filter(yf, f, h_true, h_tilde)
     split = rank1_factorize(x_hat)
     h_out, s_out, m_out = remove_ambiguity(
         h_hat, split.s_hat, split.m_hat, s1_ref
@@ -194,10 +212,10 @@ def pilot_aided_estimate(
     residual trace is empty.
     """
     m_tilde, h_tilde = oracle_weights(h_true, m_true)
-    y1 = unfold_mode1(y)
-    y2 = unfold_mode2(y)
-    h_hat = pilot_aided_h(y1, f, pilots, m_true, m_tilde)
-    m_hat = pilot_aided_m(y2, f, h_true, h_tilde, pilots)
+    h_hat = _pilot_channel_filter(
+        contract_training(y, f), f, pilots, m_true, m_tilde
+    )
+    m_hat = pilot_aided_m(unfold_mode2(y), f, h_true, h_tilde, pilots)
     return EstimateReport(
         h_hat=h_hat,
         m_hat=m_hat,

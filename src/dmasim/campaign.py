@@ -49,8 +49,10 @@ from .channels import (
     gen_inner_random_phase,
     gen_lorentzian_training,
     gen_pilots,
-    gen_qam,
+    gen_qam,  # noqa: F401  (bench/child.py traces campaign.gen_qam)
     gen_wireless,
+    qam_alphabet,
+    qam_indices,
 )
 from .config import ExperimentConfig, config_sha, validate_config
 from .metrics import diagonal_fit, nmse, ser, to_db
@@ -124,6 +126,7 @@ class Scene:
     h: np.ndarray  # channel (K, N)
     m: np.ndarray  # inner response (N,)
     s: np.ndarray  # symbols, or the pilot block (T,)
+    s_idx: np.ndarray | None  # the symbols' alphabet indices; None for pilots
     x: np.ndarray  # symbol block outer(s, m) (T, N)
     f: np.ndarray  # training (P, N)
     y: np.ndarray  # received tensor (K, T, P)
@@ -234,16 +237,19 @@ def draw_scene(
     else:
         m = gen_inner_random_phase(cfg.N, rng(_TAG_INNER))
     if cfg.receiver == "bench-pilot-aided":
-        s = gen_pilots(cfg.T)
+        s, s_idx = gen_pilots(cfg.T), None
     else:
-        s = gen_qam(cfg.T, cfg.qam_order, rng(_TAG_SYMBOLS))
+        s_idx = qam_indices(cfg.T, cfg.qam_order, rng(_TAG_SYMBOLS))
+        s = qam_alphabet(cfg.qam_order)[s_idx]
     if cfg.training == "lorentzian":
         f = gen_lorentzian_training(cfg.P, cfg.N, rng(_TAG_TRAINING))
     else:
         f = gen_dft_training(cfg.P, cfg.N)
     x = build_rank_one(s, m)
     y = add_noise(build_noiseless(h, x, f), snr_db, rng(_TAG_NOISE)).y
-    return Scene(h=h, m=m, s=s, x=x, f=f, y=y, snr_idx=snr_idx, trial=trial)
+    return Scene(
+        h=h, m=m, s=s, s_idx=s_idx, x=x, f=f, y=y, snr_idx=snr_idx, trial=trial
+    )
 
 
 def estimate(cfg: ExperimentConfig, scene: Scene) -> EstimateReport:
@@ -281,7 +287,7 @@ def score(
     trial_ser = (
         math.nan
         if cfg.receiver == "bench-pilot-aided"
-        else ser(report.s_hat, scene.s, cfg.qam_order, anchor_index=0)
+        else ser(report.s_hat, scene.s_idx, cfg.qam_order, anchor_index=0)
     )
     return TrialResult(
         nmse_h=nmse_h,

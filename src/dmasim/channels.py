@@ -231,13 +231,18 @@ def qam_alphabet(order: int) -> np.ndarray:
     return alphabet
 
 
-def gen_qam(t: int, order: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw t i.i.d. uniform symbols from the unit-energy QAM alphabet."""
+def qam_indices(t: int, order: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw t i.i.d. uniform indices into ``qam_alphabet(order)``."""
     if t < 1:
         raise ValueError("t must be positive")
-    alphabet = qam_alphabet(order)
-    idx = rng.integers(0, order, size=t)
-    return alphabet[idx]
+    _qam_side(order)
+    return rng.integers(0, order, size=t)
+
+
+def gen_qam(t: int, order: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw t i.i.d. uniform symbols from the unit-energy QAM alphabet: the
+    points of ``qam_indices(t, order, rng)``."""
+    return qam_alphabet(order)[qam_indices(t, order, rng)]
 
 
 @functools.lru_cache

@@ -158,6 +158,13 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
     for name in ("K", "T", "P", "N", "D", "L"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1")
+    if cfg.K < 2:
+        # The shared-diagonal scoring protocol fits one scale per channel
+        # column; with one subcarrier that scale absorbs the whole estimate.
+        raise ConfigError(
+            "K must be >= 2: with K = 1 the shared-diagonal NMSE fit absorbs "
+            "the whole channel estimate and reports a meaningless floor"
+        )
     if cfg.N != cfg.D * cfg.L:
         raise ConfigError(f"N must equal D*L, got N={cfg.N}, D*L={cfg.D * cfg.L}")
     if cfg.trials < 1:

@@ -6,9 +6,12 @@ caller removes the ambiguity first with the least-squares scales from
 ``diagonal_fit``, as the campaign does.
 """
 
+import math
+
 import numpy as np
 
 from .channels import qam_demap
+from .tensor_ops import fro_norm
 
 
 def to_db(x: float) -> float:
@@ -40,10 +43,10 @@ def nmse(est: np.ndarray, truth: np.ndarray) -> float:
     truth = np.asarray(truth)
     if est.shape != truth.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {truth.shape}")
-    tnorm = float(np.linalg.norm(truth) ** 2)
+    tnorm = fro_norm(truth) ** 2
     if tnorm == 0.0:
         raise ValueError("nmse is undefined for an all-zero truth")
-    return float(np.linalg.norm(est - truth) ** 2) / tnorm
+    return fro_norm(est - truth) ** 2 / tnorm
 
 
 def ser(
@@ -53,7 +56,13 @@ def ser(
     anchor_index: int = 0,
 ) -> float:
     """Symbol-error rate after hard demapping, excluding the anchor position
-    (whose symbol the receiver knows by construction)."""
+    (whose symbol the receiver knows by construction); NaN when no other
+    position exists.
+
+    ``s_true`` holds the transmitted symbols, or their indices into
+    ``qam_alphabet(order)`` as an integer array, which need no demapping:
+    an alphabet point demaps to its own index.
+    """
     s_hat = np.asarray(s_hat)
     s_true = np.asarray(s_true)
     if s_hat.shape != s_true.shape or s_hat.ndim != 1:
@@ -61,6 +70,8 @@ def ser(
     keep = np.ones(s_hat.shape[0], dtype=bool)
     keep[anchor_index] = False
     if not np.any(keep):
-        return 0.0
-    errs = qam_demap(s_hat[keep], order) != qam_demap(s_true[keep], order)
-    return float(np.mean(errs))
+        return math.nan
+    truth = s_true[keep]
+    if truth.dtype.kind not in "iu":
+        truth = qam_demap(truth, order)
+    return float(np.mean(qam_demap(s_hat[keep], order) != truth))

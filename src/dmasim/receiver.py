@@ -14,10 +14,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .channels import training_spectrum
 from .tensor_ops import (
     NumericalError,
+    fro_norm,
     khatri_rao,
     parafac_build,
     pinv,
@@ -53,6 +55,8 @@ _SCHUR_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 # Slack, relative to tol, for the roundings of the quotient |eps - prev| /
 # prev: two in the explicit rule, a few in its interval form.
 _RULE_SLACK = 8 * np.finfo(float).eps
+# The LAPACK gesv gufunc behind np.linalg.solve (see _normal_solve).
+_lu_solve = _umath_linalg.solve
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,12 @@ def _normal_solve(
     so it goes straight to the solve and gives the same result bit for bit.
     numpy has no triangular solver, so one LU solve on the Gram is cheaper
     than two general solves on the factor.
+
+    The solve calls the gufunc that ``np.linalg.solve`` wraps, on the same
+    arrays, so its result is the same bit for bit; the wrapper's checks and
+    its singular-matrix error are not needed, because a Gram reaches the
+    solve only once the Schur bound or the Cholesky guard has shown it
+    finite and safely positive definite.
     """
     if not certified:
         try:
@@ -143,7 +153,14 @@ def _normal_solve(
         if not diag.min() >= CHOLESKY_DIAG_RATIO * diag.max():  # NaN fails too
             return None
     # A @ gram = rhs  <=>  gram^T @ A^T = rhs^T, and gram^T = conj(gram).
-    return np.linalg.solve(gram.conj(), rhs.T).T
+    return _lu_solve(gram.conj(), rhs.T).T
+
+
+def contract_training(y: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The training-contracted block ``yf = Y F*`` of shape (K, T, N) from a
+    (K, T, P) block: one (K*T, P) @ (P, N) product."""
+    k, t, p = y.shape
+    return (y.reshape(k * t, p) @ f.conj()).reshape(k, t, -1)
 
 
 def conj_rhs(yf: np.ndarray, factor_conj: np.ndarray, mode: int) -> np.ndarray:
@@ -216,7 +233,7 @@ def _misfit(
     ynorm: float, it: int,
 ) -> float:
     """The explicit full-model misfit ``||Y - Y_hat|| / ||Y||``."""
-    eps = float(np.linalg.norm(y - parafac_build(h_hat, x_hat, f))) / ynorm
+    eps = fro_norm(y - parafac_build(h_hat, x_hat, f)) / ynorm
     if not math.isfinite(eps):
         raise EstimationError(f"non-finite residual at iteration {it}")
     return eps
@@ -291,7 +308,7 @@ def bals(
     if f.ndim != 2 or f.shape[0] != p:
         raise ValueError(f"training matrix must have {p} rows, got {f.shape}")
     n = f.shape[1]
-    ynorm = float(np.linalg.norm(y))
+    ynorm = fro_norm(y)
     if ynorm == 0.0:
         raise EstimationError("received block is identically zero")
     if cfg.init is not None:
@@ -313,7 +330,7 @@ def bals(
     # half-steps skip the Cholesky guard (see _SCHUR_PIVOT_MARGIN).  A drawn
     # training's spectrum is remembered from its rank check.
     gf, gf_min, _ = training_spectrum(f)
-    yf = (y.reshape(k * t, p) @ f.conj()).reshape(k, t, n)
+    yf = contract_training(y, f)
     gamma = _residual_gamma(k, t, p, n)
     # Each factor is conjugated once, for its Gram and the right-hand side;
     # X's Gram serves both the residual and the next iteration's channel
@@ -415,7 +432,7 @@ def remove_ambiguity(
     """
     if s1_ref == 0:
         raise ValueError("the reference symbol must be nonzero")
-    norm_s = float(np.linalg.norm(s_hat))
+    norm_s = fro_norm(s_hat)
     if norm_s == 0.0 or abs(s_hat[0]) < 1e-12 * norm_s:
         raise EstimationError(
             "ambiguity unresolvable: estimated reference symbol is ~0"

@@ -20,6 +20,8 @@ With these choices, for ``y = parafac_build(h, x, f)``::
 hold exactly (up to floating-point roundoff).
 """
 
+import math
+
 import numpy as np
 
 
@@ -71,6 +73,18 @@ def parafac_build(h: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
     (k, n), t, p = h.shape, x.shape[0], f.shape[0]
     kr = np.multiply(h[:, None, :], x[None, :, :], order="C").reshape(k * t, n)
     return (kr @ f.T).reshape(k, t, p)
+
+
+def fro_norm(a: np.ndarray) -> float:
+    """``float(np.linalg.norm(a))``, bit for bit.  A complex128 array runs
+    ``norm``'s own arithmetic, ``sqrt(re . re + im . im)`` over
+    ``ravel(order="K")``, without its argument handling; any other array
+    goes to ``np.linalg.norm``."""
+    if a.dtype != np.complex128:
+        return float(np.linalg.norm(a))
+    flat = a.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def pinv(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:

@@ -32,6 +32,7 @@ from dmasim.campaign import (
     write_results_csv,
     write_summary_json,
 )
+from dmasim.channels import qam_alphabet
 from dmasim.config import RECEIVERS, ExperimentConfig, load_config_file
 from dmasim.receiver import EstimateReport
 
@@ -374,6 +375,27 @@ def test_aggregate_with_no_survivors_yields_nan_row():
     assert math.isnan(row.ser)
     assert math.isnan(row.iters_p50) and math.isnan(row.iters_max)
     assert row.max_iters_hit == 0
+
+
+def test_campaign_with_one_symbol_reports_no_ser(tmp_path):
+    # T = 1 leaves only the anchor symbol, which SER never scores: the row
+    # reports no SER (it used to report 0.0), as pilot rows do.
+    cfg = _tiny(T=1, trials=3)
+    rows = run_campaign(cfg, out_dir=str(tmp_path))
+    assert all(math.isnan(row.ser) and row.trials == 3 for row in rows)
+    for line in render_csv(rows, cfg).splitlines()[2:]:
+        assert line.split(",")[3] == "nan"
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    assert [row["ser"] for row in summary["rows"]] == [None, None]
+
+
+def test_scene_keeps_the_drawn_symbol_indices():
+    scene = draw_scene(_tiny(), 10.0, 1, 2)
+    np.testing.assert_array_equal(scene.s, qam_alphabet(64)[scene.s_idx])
+    pilots = draw_scene(
+        _tiny(receiver="bench-pilot-aided", training="semi-unitary-dft"), 10.0, 1, 2
+    )
+    assert pilots.s_idx is None
 
 
 def test_snr_grid_noiseless_override():

@@ -20,6 +20,7 @@ from dmasim.channels import (
     lorentzian_entry,
     qam_alphabet,
     qam_demap,
+    qam_indices,
     training_spectrum,
 )
 from helpers import demap_oracle
@@ -250,6 +251,15 @@ def test_gen_qam_draws_from_the_alphabet():
     assert dists.max() < 1e-12
     # All 16 points should appear in 500 draws.
     assert len({np.argmin(np.abs(v - alpha)) for v in s}) == 16
+
+
+def test_gen_qam_is_the_alphabet_at_the_drawn_indices():
+    idx = qam_indices(40, 64, np.random.default_rng(3))
+    s = gen_qam(40, 64, np.random.default_rng(3))
+    np.testing.assert_array_equal(s, qam_alphabet(64)[idx])
+    np.testing.assert_array_equal(qam_demap(s, 64), idx)
+    with pytest.raises(ValueError):
+        qam_indices(4, 32, np.random.default_rng(3))
 
 
 def test_gen_pilots_frozen_values():

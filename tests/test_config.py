@@ -149,6 +149,9 @@ _UNDERFLOW = {
     "override",
     [
         {"K": 0},
+        # One subcarrier: the shared-diagonal fit absorbed the whole channel
+        # and reported about -318 dB at every SNR.
+        {"K": 1},
         {"N": 15},  # breaks N == D*L
         {"trials": 0},
         {"max_iters": 0},
@@ -252,6 +255,15 @@ def test_load_config_file(tmp_path):
     assert cfg.trials == 3
     assert cfg.seed == 5
     assert sweeps == {}
+
+
+def test_load_config_file_rejects_a_single_subcarrier(tmp_path):
+    path = tmp_path / "exp.cfg"
+    path.write_text("K = 1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="shared-diagonal"):
+        load_config_file(str(path))
+    path.write_text("K = 2\n", encoding="utf-8")
+    assert load_config_file(str(path))[0].K == 2
 
 
 @pytest.mark.parametrize("grid", ["-inf", "0:5:inf", "-inf:5:0", "0:nan:10"])

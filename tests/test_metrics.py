@@ -114,6 +114,24 @@ def test_ser_detects_a_global_sign_flip():
     assert ser(-s, s, 64) > 0.8
 
 
+def test_ser_with_no_position_besides_the_anchor_is_nan():
+    # T = 1: only the anchor symbol exists, so nothing is scored.
+    s = qam_alphabet(16)[[7]]
+    assert math.isnan(ser(s, s, 16))
+    assert math.isnan(ser(-s, np.array([7]), 16))
+
+
+@given(seed=st.integers(0, 2**32 - 1), t=st.integers(2, 30))
+def test_ser_on_drawn_indices_equals_ser_on_the_symbols(seed, t):
+    # An alphabet point demaps to its own index, so scoring against the
+    # indices a trial drew is scoring against its symbols.
+    rng = np.random.default_rng(seed)
+    idx = rng.integers(0, 64, t)
+    s = qam_alphabet(64)[idx]
+    s_hat = s + 0.2 * rand_cn(rng, t)
+    assert ser(s_hat, idx, 64) == ser(s_hat, s, 64)
+
+
 def test_ser_input_validation():
     with pytest.raises(ValueError):
         ser(np.ones(3, dtype=complex), np.ones(4, dtype=complex), 16)

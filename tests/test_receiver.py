@@ -1,3 +1,6 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,8 @@ from dmasim.channels import (
     gen_inner_random_phase,
 )
 from dmasim import receiver
+from dmasim.campaign import run_trial
+from dmasim.config import load_config_file
 from dmasim.metrics import diagonal_fit, nmse
 from dmasim.receiver import (
     BalsConfig,
@@ -227,6 +232,49 @@ def test_schur_certificate_implies_the_cholesky_guard_passes(
         # Run the guard itself, as an uncertified half-step does.
         rhs = rand_cn(rng, 3, n)
         assert receiver._normal_solve(gram, rhs, certified=False) is not None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 64),
+    rows=st.integers(1, 20),
+    log_cond=st.floats(0.0, 6.0),
+)
+def test_normal_solve_is_numpys_solve_bit_for_bit(seed, n, rows, log_cond):
+    # A Hermitian positive definite Gram with condition number up to 1e6;
+    # certified or guarded, the solve returns exactly np.linalg.solve's bits.
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rand_cn(rng, n, n))
+    gram = (u * np.logspace(0.0, log_cond, n)) @ u.conj().T
+    gram = (gram + gram.conj().T) / 2
+    rhs = rand_cn(rng, rows, n)
+    want = np.linalg.solve(gram.conj(), rhs.T).T
+    for certified in (True, False):
+        got = receiver._normal_solve(gram, rhs, certified)
+        if got is None:  # the guard may decline a Gram near cond 1e6
+            assert not certified
+            continue
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+_DESK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg")
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 30.0])
+def test_desk_trial_calls_no_numpy_solve_and_warns_nothing(snr_db, monkeypatch):
+    # The normal equations go straight to the LAPACK gufunc; with the
+    # wrapper's errstate gone, a certified or guarded Gram must still raise
+    # no floating-point warning.
+    cfg, _ = load_config_file(_DESK_CFG)
+    assert (cfg.receiver, cfg.training) == ("proposed", "lorentzian")
+    solve_calls = _count_calls(monkeypatch, np.linalg, "solve")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for trial in range(3):
+            assert run_trial(cfg, snr_db, 0, trial).failed is None
+    assert solve_calls == []
 
 
 def test_schur_certificate_rejects_nan_zero_and_singular():

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from dmasim.tensor_ops import (
     NumericalError,
+    fro_norm,
     khatri_rao,
     parafac_build,
     pinv,
@@ -139,3 +140,45 @@ def test_pinv_rejects_non_finite_input():
     with pytest.raises(NumericalError):
         pinv(a)
 
+
+
+def _layouts(a):
+    """The array in C order, in Fortran order, and as strided views."""
+    yield np.ascontiguousarray(a)
+    yield np.asfortranarray(a)
+    yield a.transpose(tuple(reversed(range(a.ndim))))
+    yield a[..., ::2]
+    yield a[::-1]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    shape=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+    log_scale=st.floats(-150.0, 150.0),
+)
+def test_fro_norm_is_numpys_norm_bit_for_bit(seed, shape, log_scale):
+    a = rand_cn(np.random.default_rng(seed), *shape) * 10.0**log_scale
+    for view in _layouts(a):
+        want = np.linalg.norm(view)
+        got = fro_norm(view)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == want.tobytes()
+        # Callers square it: the same bits as squaring norm's own result.
+        assert np.float64(got**2).tobytes() == np.float64(want**2).tobytes()
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.zeros((3, 4), dtype=complex),
+        np.arange(12.0).reshape(3, 4),
+        np.arange(12).reshape(3, 4),
+        np.array([1 + 2j, 3 - 4j], dtype=np.complex64),
+        np.array([np.nan, 1j]),
+        np.array([np.inf, 1j]),
+    ],
+)
+def test_fro_norm_of_other_arrays_is_numpys_norm(a):
+    want = float(np.linalg.norm(a))
+    got = fro_norm(a)
+    assert got == want or (np.isnan(got) and np.isnan(want))
