@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Fingerprint the benchmark's science: the sha256 of ``render_csv`` for
-every campaign of every workload in ``bench/workloads.py``, at each seed.
+"""Fingerprint the benchmark's science: the sha256 of ``render_csv`` and of
+``summary_dict`` for every campaign of every workload in
+``bench/workloads.py``, at each seed.
 
 A change that must leave the science bitwise unchanged prints the same
 lines before and after it, so two checkouts compare with one ``diff``:
@@ -9,13 +10,15 @@ lines before and after it, so two checkouts compare with one ``diff``:
 
 Each campaign is the committed desk config plus the workload's overrides
 and the seed, run with ``timing = false`` so that the CSV holds no wall
-clock.  The checkout's own ``src/`` is imported, whatever ``PYTHONPATH``
-says.
+clock.  The summary is hashed in ``write_summary_json``'s JSON layout, less
+its one wall-clock field, ``rows[].mean_runtime_s``.  The checkout's own
+``src/`` is imported, whatever ``PYTHONPATH`` says.
 """
 
 import argparse
 import dataclasses
 import hashlib
+import json
 import os
 import sys
 
@@ -24,8 +27,19 @@ sys.dont_write_bytecode = True  # read bench/ without leaving a cache in it
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "bench")]
 
 import workloads  # noqa: E402
-from dmasim.campaign import render_csv, run_campaign  # noqa: E402
+from dmasim.campaign import render_csv, run_campaign, summary_dict  # noqa: E402
 from dmasim.config import load_config_file  # noqa: E402
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _summary_text(rows, cfg) -> str:
+    summary = summary_dict(rows, cfg)
+    for row in summary["rows"]:
+        del row["mean_runtime_s"]
+    return json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
 
 
 def main(argv=None) -> int:
@@ -40,9 +54,10 @@ def main(argv=None) -> int:
         for seed in args.seeds:
             for index, overrides in enumerate(campaigns):
                 cfg = dataclasses.replace(base, **overrides, seed=seed, timing=False)
-                csv = render_csv(run_campaign(cfg), cfg)
-                digest = hashlib.sha256(csv.encode()).hexdigest()
-                print(f"{name} seed={seed} campaign={index} {digest}", flush=True)
+                rows = run_campaign(cfg)
+                tag = f"{name} seed={seed} campaign={index}"
+                print(f"{tag} {_sha256(render_csv(rows, cfg))}")
+                print(f"{tag} summary {_sha256(_summary_text(rows, cfg))}", flush=True)
     return 0
 
 

@@ -41,7 +41,11 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
-from .benchmarks import data_aided_estimate, pilot_aided_estimate
+from .benchmarks import (
+    ORACLE_SIDE_INFORMATION,
+    data_aided_estimate,
+    pilot_aided_estimate,
+)
 from .channels import (
     GenerationError,
     gen_dft_training,
@@ -286,7 +290,7 @@ def score(
         return TrialResult(failed="DegenerateMetricFit")
     trial_ser = (
         math.nan
-        if cfg.receiver == "bench-pilot-aided"
+        if scene.s_idx is None
         else ser(report.s_hat, scene.s_idx, cfg.qam_order, anchor_index=0)
     )
     return TrialResult(
@@ -422,7 +426,7 @@ def summary_dict(rows: list[MetricRow], cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "nmse_fit": NMSE_FIT_LABEL,
         "per_iteration_flops": flop_estimate(cfg.K, cfg.T, cfg.P, cfg.N),
-        "oracle_side_information": _oracle_note(cfg.receiver),
+        "oracle_side_information": ORACLE_SIDE_INFORMATION.get(cfg.receiver, ()),
         "wall_clock_fields_nondeterministic": ["rows[].mean_runtime_s"],
         "rows": [
             {
@@ -432,20 +436,6 @@ def summary_dict(rows: list[MetricRow], cfg: ExperimentConfig) -> dict:
             for row in rows
         ],
     })
-
-
-def _oracle_note(receiver: str) -> list[str]:
-    if receiver == "bench-data-aided":
-        return [
-            "channel estimate uses the true symbol block and true inner-response moduli",
-            "symbol-block estimate uses the true channel and its column energies",
-        ]
-    if receiver == "bench-pilot-aided":
-        return [
-            "channel estimate uses the known pilots, true inner response and its moduli",
-            "inner-response estimate uses the true channel and its column energies",
-        ]
-    return []
 
 
 def write_summary_json(

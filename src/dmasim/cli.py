@@ -38,7 +38,7 @@ def _apply_overrides(cfg, args):
         updates["seed"] = args.seed
     if args.threads is not None:
         updates["threads"] = args.threads
-    if getattr(args, "noiseless", False):
+    if args.noiseless:
         updates["noiseless"] = True
     if updates:
         cfg = dataclasses.replace(cfg, **updates)
@@ -134,22 +134,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads", type=int, default=None, help="override worker threads"
         )
+        p.add_argument(
+            "--noiseless", action="store_true", help="single noise-free point"
+        )
 
     p_run = sub.add_parser("run", help="run one campaign")
     common(p_run, needs_out=True)
-    p_run.add_argument(
-        "--noiseless", action="store_true", help="single noise-free point"
-    )
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a config and identifiability")
     common(p_val)
-    p_val.add_argument("--noiseless", action="store_true")
     p_val.set_defaults(func=_cmd_validate)
 
     p_sweep = sub.add_parser("sweep", help="run campaigns over a declared grid")
     common(p_sweep, needs_out=True)
-    p_sweep.add_argument("--noiseless", action="store_true")
     p_sweep.set_defaults(func=_cmd_sweep)
     return parser
 

@@ -98,13 +98,16 @@ class Rank1Split(NamedTuple):
 
 @dataclass(frozen=True)
 class EstimateReport:
+    """A receiver's estimates and what its solver did.  The defaults
+    describe a one-shot estimate: one pass, no residual trace, no split."""
+
     h_hat: np.ndarray
     m_hat: np.ndarray
     s_hat: np.ndarray
-    iterations: int
-    residual_trace: np.ndarray
-    converged: bool
-    rank1_degenerate: bool
+    iterations: int = 1
+    residual_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
+    converged: bool = True
+    rank1_degenerate: bool = False
 
 
 def _schur_certified(
@@ -441,6 +444,19 @@ def remove_ambiguity(
     return np.array(h_hat, dtype=complex), lam * s_hat, m_hat / lam
 
 
+def split_and_anchor(
+    h_hat: np.ndarray, x_hat: np.ndarray, s1_ref: complex
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Stage two: split the fitted symbol block into (s, m) and anchor the
+    scale on the known reference symbol.  Returns ``(h, s, m, degenerate)``,
+    ``degenerate`` flagging a (near-)tied leading singular pair."""
+    split = rank1_factorize(x_hat)
+    h_out, s_out, m_out = remove_ambiguity(
+        h_hat, split.s_hat, split.m_hat, s1_ref
+    )
+    return h_out, s_out, m_out, split.degenerate
+
+
 def two_stage_estimate(
     y: np.ndarray,
     f: np.ndarray,
@@ -450,10 +466,7 @@ def two_stage_estimate(
 ) -> EstimateReport:
     """Full receiver: alternating-LS stage, rank-one split, ambiguity fix."""
     res = bals(y, f, cfg=cfg, rng=rng)
-    split = rank1_factorize(res.x_hat)
-    h_out, s_out, m_out = remove_ambiguity(
-        res.h_hat, split.s_hat, split.m_hat, s1_ref
-    )
+    h_out, s_out, m_out, degenerate = split_and_anchor(res.h_hat, res.x_hat, s1_ref)
     return EstimateReport(
         h_hat=h_out,
         m_hat=m_out,
@@ -461,7 +474,7 @@ def two_stage_estimate(
         iterations=len(res.residuals),
         residual_trace=res.residuals,
         converged=res.converged,
-        rank1_degenerate=split.degenerate,
+        rank1_degenerate=degenerate,
     )
 
 

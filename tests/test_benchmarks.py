@@ -20,6 +20,7 @@ from dmasim.channels import (
     qam_alphabet,
 )
 from dmasim.metrics import nmse
+from dmasim.receiver import split_and_anchor
 from dmasim.signals import add_noise, build_noiseless, build_rank_one
 from dmasim.tensor_ops import khatri_rao, pinv, unfold_mode1, unfold_mode2
 from helpers import rand_cn, relerr
@@ -136,6 +137,20 @@ def test_data_aided_estimate_noiseless_is_exact():
     assert rep.iterations == 1
     assert rep.converged
     assert rep.residual_trace.shape == (0,)  # one-shot: no residual
+
+
+def test_data_aided_estimate_is_the_closed_forms_then_stage_two():
+    h, m, s, f, x = _scene(8)
+    y = add_noise(build_noiseless(h, x, f), 10.0, np.random.default_rng(80)).y
+    rep = data_aided_estimate(y, f, x_true=x, h_true=h, m_true=m, s1_ref=s[0])
+    m_tilde, h_tilde = oracle_weights(h, m)
+    h_hat = semi_unitary_h(unfold_mode1(y), f, x, m_tilde)
+    x_hat = semi_unitary_x(unfold_mode2(y), f, h, h_tilde)
+    h_out, s_out, m_out, degenerate = split_and_anchor(h_hat, x_hat, s[0])
+    np.testing.assert_array_equal(rep.h_hat, h_out)
+    np.testing.assert_array_equal(rep.s_hat, s_out)
+    np.testing.assert_array_equal(rep.m_hat, m_out)
+    assert rep.rank1_degenerate is degenerate
 
 
 def test_pilot_aided_estimate_noiseless_is_exact():

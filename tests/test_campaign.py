@@ -252,10 +252,7 @@ def test_draw_scene_is_the_same_for_every_receiver():
 def test_score_flags_a_zero_channel_column_as_a_degenerate_fit():
     cfg = _tiny()
     scene = draw_scene(cfg, 10.0, 0, 0)
-    exact = EstimateReport(
-        h_hat=scene.h, m_hat=scene.m, s_hat=scene.s, iterations=1,
-        residual_trace=np.empty(0), converged=True, rank1_degenerate=False,
-    )
+    exact = EstimateReport(h_hat=scene.h, m_hat=scene.m, s_hat=scene.s)
     assert score(cfg, scene, exact, 0.0).failed is None
     h_hat = scene.h.copy()
     h_hat[:, 0] = 0.0
@@ -582,6 +579,35 @@ def test_proposed_campaign_declares_no_oracles():
     cfg = _tiny(trials=1)
     summary = summary_dict(run_campaign(cfg), cfg)
     assert summary["oracle_side_information"] == []
+
+
+@pytest.mark.parametrize(
+    "receiver, notes",
+    [
+        (
+            "bench-data-aided",
+            [
+                "channel estimate uses the true symbol block and true "
+                "inner-response moduli",
+                "symbol-block estimate uses the true channel and its column "
+                "energies",
+            ],
+        ),
+        (
+            "bench-pilot-aided",
+            [
+                "channel estimate uses the known pilots, true inner response "
+                "and its moduli",
+                "inner-response estimate uses the true channel and its column "
+                "energies",
+            ],
+        ),
+    ],
+)
+def test_reference_campaigns_declare_their_oracles(receiver, notes):
+    cfg = _tiny(receiver=receiver, training="semi-unitary-dft", trials=1)
+    summary = summary_dict(run_campaign(cfg), cfg)
+    assert summary["oracle_side_information"] == notes
 
 
 def test_run_campaign_writes_both_artifacts(tmp_path):

@@ -68,6 +68,13 @@ def test_run_noiseless_flag(tiny_config, tmp_path, capsys):
     assert lines[2].startswith("inf,")
 
 
+@pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+def test_every_command_describes_the_noiseless_flag(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert "single noise-free point" in capsys.readouterr().out
+
+
 def test_validate_reports_identifiability(tmp_path, capsys):
     path = tmp_path / "ref.cfg"
     path.write_text("trials = 10\n", encoding="utf-8")  # reference geometry

@@ -19,11 +19,13 @@ from dmasim.config import load_config_file
 from dmasim.metrics import diagonal_fit, nmse
 from dmasim.receiver import (
     BalsConfig,
+    EstimateReport,
     EstimationError,
     bals,
     flop_estimate,
     rank1_factorize,
     remove_ambiguity,
+    split_and_anchor,
     two_stage_estimate,
 )
 from dmasim.signals import add_noise, build_noiseless, build_rank_one
@@ -565,6 +567,29 @@ def test_remove_ambiguity_rejects_vanishing_reference():
         remove_ambiguity(h, s, m, 1.0)
     with pytest.raises(ValueError):
         remove_ambiguity(h, np.ones(3, dtype=complex), m, 0.0)
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_split_and_anchor_is_the_split_then_the_anchor(degenerate):
+    rng = np.random.default_rng(12)
+    h = rand_cn(rng, 3, 4)
+    x = np.eye(3, dtype=complex) if degenerate else rand_cn(rng, 6, 4)
+    ref = 1.0 + 3.0j
+    split = rank1_factorize(x)
+    want = (*remove_ambiguity(h, split.s_hat, split.m_hat, ref), split.degenerate)
+    got = split_and_anchor(h, x, ref)
+    assert got[3] is want[3] is degenerate
+    for a, b in zip(got[:3], want[:3]):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_estimate_report_defaults_describe_a_one_shot_estimate():
+    rng = np.random.default_rng(13)
+    h, m, s = rand_cn(rng, 3, 4), rand_cn(rng, 4), rand_cn(rng, 6)
+    rep = EstimateReport(h, m, s)
+    assert rep.iterations == 1
+    assert rep.residual_trace.shape == (0,)
+    assert rep.converged and not rep.rank1_degenerate
 
 
 def test_two_stage_noiseless_recovery_to_numerical_floor():
