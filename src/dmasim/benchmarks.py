@@ -29,7 +29,7 @@ from .signals import build_rank_one
 # No filter here forms a Khatri-Rao product; the name stays bound because
 # the benchmark's tracer (bench/child.py) counts calls to
 # benchmarks.khatri_rao, which read 0.
-from .tensor_ops import fro_norm, khatri_rao, unfold_mode2  # noqa: F401
+from .tensor_ops import khatri_rao, unfold_mode2  # noqa: F401
 
 _SEMI_UNITARY_RTOL = 1e-8
 
@@ -57,7 +57,7 @@ def _check_weights(w: np.ndarray, name: str) -> np.ndarray:
 
 def _check_pilots(pilots: np.ndarray) -> int:
     t = pilots.shape[0]
-    if abs(fro_norm(pilots) ** 2 - t) > 1e-9 * t:
+    if abs(float(np.linalg.norm(pilots)) ** 2 - t) > 1e-9 * t:
         raise ValueError("pilot block must have squared norm T")
     return t
 
@@ -79,7 +79,7 @@ def _channel_filter(
     p = _check_semi_unitary(f)
     m_tilde = _check_weights(m_tilde, "m_tilde")
     # column n of x is s * m[n], so ||x||_F^2 = ||s||^2 * sum_n |m[n]|^2
-    s_energy = fro_norm(x) ** 2 / float(np.sum(1.0 / m_tilde))
+    s_energy = float(np.linalg.norm(x)) ** 2 / float(np.sum(1.0 / m_tilde))
     return conj_rhs(yf, x.conj(), 1) * (m_tilde / (p * s_energy))
 
 

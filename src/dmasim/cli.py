@@ -17,7 +17,7 @@ import itertools
 import json
 import sys
 
-from .campaign import run_campaign, snr_grid
+from .campaign import _strict, run_campaign, snr_grid
 from .config import ConfigError, load_config_file, validate_config
 from .receiver import EstimationError
 from .signals import identifiability_preflight
@@ -69,7 +69,7 @@ def _cmd_validate(args) -> int:
     for tag, _, point_warnings in _sweep_points(cfg, sweeps):
         warnings += [f"{tag}: {warning}" for warning in point_warnings]
     pre = identifiability_preflight(cfg.K, cfg.T, cfg.P, cfg.N)
-    report = {
+    report = _strict({
         "config_ok": True,
         "kruskal_ok": pre.kruskal_ok,
         "relaxed_ok": pre.relaxed_ok,
@@ -79,12 +79,12 @@ def _cmd_validate(args) -> int:
         "snr_grid_db": list(snr_grid(cfg)),
         "sweep_grids": {k: list(v) for k, v in sweeps.items()},
         "warnings": warnings,
-    }
+    })
     if not pre.kruskal_ok:
         report["warnings"] = warnings + [
             "k-rank uniqueness bound not met; relying on the relaxed generic bound"
         ]
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

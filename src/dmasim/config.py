@@ -26,6 +26,9 @@ INNER_MODELS = ("random-phase", "physical")
 MAX_THREADS = 256
 # Checked before a range is expanded: 0:1e-6:1e6 would be 10**12 points.
 MAX_SNR_POINTS = 10_000
+# add_noise scales by 10 ** (snr_db / 10), which overflows near +3,083 dB and
+# reaches zero near -3,234 dB; within this bound it stays a normal double.
+MAX_ABS_SNR_DB = 3_000.0
 
 
 class ConfigError(ValueError):
@@ -226,6 +229,8 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         )
     if len(cfg.snr_grid_db) > MAX_SNR_POINTS:
         raise ConfigError(f"snr_grid_db has more than {MAX_SNR_POINTS} points")
+    if any(abs(v) > MAX_ABS_SNR_DB for v in cfg.snr_grid_db):
+        raise ConfigError(f"snr_grid_db entries must lie within ±{MAX_ABS_SNR_DB:g} dB")
     if not cfg.noiseless and len(cfg.snr_grid_db) == 0:
         raise ConfigError("snr_grid_db must not be empty for a noisy campaign")
     if cfg.training == "semi-unitary-dft" and cfg.P < cfg.N:

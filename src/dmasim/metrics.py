@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from .channels import qam_demap
-from .tensor_ops import fro_norm
 
 
 def to_db(x: float) -> float:
@@ -43,10 +42,10 @@ def nmse(est: np.ndarray, truth: np.ndarray) -> float:
     truth = np.asarray(truth)
     if est.shape != truth.shape:
         raise ValueError(f"shape mismatch: {est.shape} vs {truth.shape}")
-    tnorm = fro_norm(truth) ** 2
+    tnorm = float(np.linalg.norm(truth)) ** 2
     if tnorm == 0.0:
         raise ValueError("nmse is undefined for an all-zero truth")
-    return fro_norm(est - truth) ** 2 / tnorm
+    return float(np.linalg.norm(est - truth)) ** 2 / tnorm
 
 
 def ser(

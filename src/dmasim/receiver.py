@@ -19,7 +19,6 @@ from numpy.linalg import _umath_linalg
 from .channels import training_spectrum
 from .tensor_ops import (
     NumericalError,
-    fro_norm,
     khatri_rao,
     parafac_build,
     pinv,
@@ -236,7 +235,7 @@ def _misfit(
     ynorm: float, it: int,
 ) -> float:
     """The explicit full-model misfit ``||Y - Y_hat|| / ||Y||``."""
-    eps = fro_norm(y - parafac_build(h_hat, x_hat, f)) / ynorm
+    eps = float(np.linalg.norm(y - parafac_build(h_hat, x_hat, f))) / ynorm
     if not math.isfinite(eps):
         raise EstimationError(f"non-finite residual at iteration {it}")
     return eps
@@ -311,7 +310,7 @@ def bals(
     if f.ndim != 2 or f.shape[0] != p:
         raise ValueError(f"training matrix must have {p} rows, got {f.shape}")
     n = f.shape[1]
-    ynorm = fro_norm(y)
+    ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
         raise EstimationError("received block is identically zero")
     if cfg.init is not None:
@@ -435,7 +434,7 @@ def remove_ambiguity(
     """
     if s1_ref == 0:
         raise ValueError("the reference symbol must be nonzero")
-    norm_s = fro_norm(s_hat)
+    norm_s = float(np.linalg.norm(s_hat))
     if norm_s == 0.0 or abs(s_hat[0]) < 1e-12 * norm_s:
         raise EstimationError(
             "ambiguity unresolvable: estimated reference symbol is ~0"

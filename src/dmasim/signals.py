@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import fro_norm, parafac_build
+from .tensor_ops import parafac_build
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def add_noise(
     if snr_db is None or np.isinf(snr_db):
         return rt
     y = rt.y
-    sig = fro_norm(y) ** 2
+    sig = float(np.linalg.norm(y)) ** 2
     var = sig / (y.size * 10.0 ** (snr_db / 10.0))
     # One complex buffer, real parts drawn first, scaled and added in place:
     # bit for bit ``y + scale * (re + 1j * im)``.

@@ -20,8 +20,6 @@ With these choices, for ``y = parafac_build(h, x, f)``::
 hold exactly (up to floating-point roundoff).
 """
 
-import math
-
 import numpy as np
 
 
@@ -75,32 +73,14 @@ def parafac_build(h: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
     return (kr @ f.T).reshape(k, t, p)
 
 
-def fro_norm(a: np.ndarray) -> float:
-    """``float(np.linalg.norm(a))``, bit for bit.  A complex128 array runs
-    ``norm``'s own arithmetic, ``sqrt(re . re + im . im)`` over
-    ``ravel(order="K")``, without its argument handling; any other array
-    goes to ``np.linalg.norm``."""
-    if a.dtype != np.complex128:
-        return float(np.linalg.norm(a))
-    flat = a.ravel(order="K")
-    re, im = flat.real, flat.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
 def pinv(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse with singular values below
-    ``rcond * sigma_max`` treated as zero."""
+    """``np.linalg.pinv(a, rcond)``: the Moore-Penrose pseudo-inverse with
+    singular values at or below ``rcond * sigma_max`` treated as zero."""
     if a.ndim != 2:
         raise ValueError("pinv expects a matrix")
     if a.size == 0:
         raise ValueError("pinv of an empty matrix is undefined here")
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.pinv(a, rcond)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericalError(f"SVD failed in pinv: {exc}") from exc
-    cutoff = rcond * s[0] if s.size else 0.0
-    keep = s > cutoff
-    inv = np.zeros_like(s)
-    inv[keep] = 1.0 / s[keep]
-    return (vh.conj().T * inv) @ u.conj().T
-

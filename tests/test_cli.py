@@ -91,6 +91,34 @@ def test_validate_reports_identifiability(tmp_path, capsys):
     assert any("relaxed" in w for w in report["warnings"])
 
 
+def test_validate_prints_strict_json(tiny_config, capsys):
+    # JSON has no Infinity token: the noise-free point must read null.
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    code = main(["validate", str(tiny_config), "--noiseless"])
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 0
+    assert report["snr_grid_db"] == [None]
+
+
+@pytest.mark.parametrize("snr", ["4000", "-4000"])
+def test_run_rejects_snr_beyond_the_float_range(tmp_path, capsys, snr):
+    # 10 ** (snr / 10) in add_noise overflows (or divides by zero) past
+    # these points, so every trial would raise.
+    path = tmp_path / "loud.cfg"
+    path.write_text(TINY.replace("snr_grid_db = 0, 20", f"snr_grid_db = 0, {snr}"),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    code = main(["run", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == EXIT_CONFIG
+    err = json.loads(captured.err)
+    assert err["error"] == "config"
+    assert "3000 dB" in err["detail"]
+    assert not out.exists()
+
+
 def test_validate_rejects_bad_config(tmp_path, capsys):
     path = tmp_path / "bad.cfg"
     path.write_text("trials = 0\n", encoding="utf-8")

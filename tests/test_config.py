@@ -103,7 +103,8 @@ def test_oversized_range_is_rejected_before_it_is_expanded(tmp_path, grid):
 
 def test_validate_bounds_the_grid_length():
     base = ExperimentConfig()
-    grid = tuple(float(v) for v in range(MAX_SNR_POINTS))
+    # Quarter-dB steps keep all 10,000 points inside the ±3,000 dB bound.
+    grid = tuple(0.25 * v for v in range(MAX_SNR_POINTS))
     validate_config(dataclasses.replace(base, snr_grid_db=grid))
     for noiseless in (False, True):
         wide = dataclasses.replace(base, snr_grid_db=grid + (math.pi,), noiseless=noiseless)
@@ -170,6 +171,9 @@ _UNDERFLOW = {
         {"snr_grid_db": (float("inf"),)},
         {"snr_grid_db": (10.0, float("nan"))},
         {"snr_grid_db": (float("inf"),), "noiseless": True},
+        # 10 ** (snr / 10) in add_noise overflows or vanishes past ±3,000 dB.
+        {"snr_grid_db": (0.0, 4000.0)},
+        {"snr_grid_db": (-4000.0,)},
         # Non-finite solver and physical values used to pass: tol = inf made
         # every trial "converge" after two iterations, alpha = nan failed
         # every trial.
