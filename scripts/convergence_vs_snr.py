@@ -19,7 +19,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default="results/convergence")
     parser.add_argument("--snr", default="0:5:30")
     args = parser.parse_args(argv)
@@ -28,7 +27,6 @@ def main(argv=None) -> int:
         ExperimentConfig(),
         trials=args.trials,
         seed=args.seed,
-        threads=args.threads,
         snr_grid_db=coerce_value("snr_grid_db", args.snr),
         timing=True,
     )

@@ -24,7 +24,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--out", default="results/nmse")
     parser.add_argument(
         "--snr", default="0:5:30", help="grid as start:step:stop or comma list"
@@ -38,7 +37,6 @@ def main(argv=None) -> int:
         ExperimentConfig(),
         trials=args.trials,
         seed=args.seed,
-        threads=args.threads,
         snr_grid_db=grid,
         timing=False,
     )

@@ -17,19 +17,30 @@ Only ``bench/run.py`` writes anything, as it does when run by hand.
 ``--seeds`` takes a comma list of seeds and ``a-b`` ranges (``0-9,42``).
 
 ``--cpu`` measures CPU time instead, which host drift disturbs far less
-than wall time.  Each run is then one pass of the workload's campaigns in
-a fresh interpreter that imports its checkout's own ``src/``, pins BLAS to
-one thread as ``bench/workloads.py`` says and reports trials per CPU second
-(``time.process_time()`` around each ``run_campaign``); ``--seconds`` is
-unused.  A pair counts as correct when both sides' CSVs hash the same.
+than wall time, and runs both sides in this one process: separate
+interpreters start too differently to resolve a few per cent.  Each
+checkout's ``src/dmasim`` is imported under a package name of its own
+(``dmasim_parent``, ``dmasim_change``), after BLAS is pinned to one thread
+as its ``bench/workloads.py`` says and before numpy loads.  A run is one
+pass of the workload's campaigns, reported as trials per CPU second
+(``time.process_time()`` around each ``run_campaign``); the two runs of a
+pair go back to back, and ``--seconds`` is unused.  One untimed pair per
+workload warms both sides first.  A pair counts as correct when both
+sides' CSVs hash the same.  Passing one checkout as both sides shows the
+method's noise floor.
 """
 
 import argparse
+import dataclasses
+import functools
+import hashlib
+import importlib.util
 import json
 import os
 import statistics
 import subprocess
 import sys
+import time
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -40,41 +51,54 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-# One --cpu run: argv is the checkout, the workload and the seed.
-_CPU_CHILD = """
-import dataclasses, hashlib, json, os, sys, time
-sys.dont_write_bytecode = True
-root, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
-sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "bench")]
-import workloads
-os.environ.update(workloads.BLAS_THREAD_ENV)  # before numpy loads
-from dmasim.campaign import render_csv, run_campaign, snr_grid
-from dmasim.config import load_config_file
-base, _ = load_config_file(os.path.join(root, workloads.DESK_CONFIG))
-trials = failed = cpu_s = 0
-csv = hashlib.sha256()
-for overrides in workloads.WORKLOADS[workload]:
-    cfg = dataclasses.replace(base, **overrides, seed=seed)
-    t0 = time.process_time()
-    rows = run_campaign(cfg)
-    cpu_s += time.process_time() - t0
-    trials += cfg.trials * len(snr_grid(cfg))
-    failed += sum(row.failed for row in rows)
-    csv.update(render_csv(rows, cfg).encode())
-print(json.dumps({"failed": failed, "csv_sha256": csv.hexdigest(),
-                  "metrics": {"cpu_trials_per_s": {"value": trials / cpu_s}}}))
-"""
 CPU_METRICS = [{"name": "cpu_trials_per_s", "unit": "trials/CPU s", "better": "higher"}]
 
 
-def bench_run(checkout: str, workload: str, seed: int, seconds: float, cpu: bool) -> dict:
-    """One ``bench/run.py`` run in ``checkout``, or with ``cpu`` one
-    ``_CPU_CHILD`` pass; its JSON result line."""
-    if cpu:
-        cmd = [sys.executable, "-c", _CPU_CHILD, checkout, workload, str(seed)]
-    else:
-        cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"),
-               "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+def _import_file(name: str, path: str, search: list[str] | None = None):
+    spec = importlib.util.spec_from_file_location(
+        name, path, submodule_search_locations=search
+    )
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def cpu_runner(checkout: str, side: str):
+    """A function ``(workload, seed) -> result`` that runs one pass of the
+    workload's campaigns with ``checkout``'s own code, imported here as
+    ``dmasim_<side>``, and returns its trials per CPU second and CSV hash."""
+    sys.dont_write_bytecode = True  # leave no cache in either checkout
+    workloads = _import_file(
+        f"workloads_{side}", os.path.join(checkout, "bench", "workloads.py")
+    )
+    os.environ.update(workloads.BLAS_THREAD_ENV)  # before numpy first loads
+    package = os.path.join(checkout, "src", "dmasim")
+    _import_file(f"dmasim_{side}", os.path.join(package, "__init__.py"), [package])
+    campaign = importlib.import_module(f"dmasim_{side}.campaign")
+    config = importlib.import_module(f"dmasim_{side}.config")
+    base, _ = config.load_config_file(os.path.join(checkout, workloads.DESK_CONFIG))
+
+    def run(workload: str, seed: int) -> dict:
+        trials = failed = cpu_s = 0
+        csv = hashlib.sha256()
+        for overrides in workloads.WORKLOADS[workload]:
+            cfg = dataclasses.replace(base, **overrides, seed=seed)
+            t0 = time.process_time()
+            rows = campaign.run_campaign(cfg)
+            cpu_s += time.process_time() - t0
+            trials += cfg.trials * len(campaign.snr_grid(cfg))
+            failed += sum(row.failed for row in rows)
+            csv.update(campaign.render_csv(rows, cfg).encode())
+        return {"failed": failed, "csv_sha256": csv.hexdigest(),
+                "metrics": {"cpu_trials_per_s": {"value": trials / cpu_s}}}
+
+    return run
+
+
+def bench_run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One ``bench/run.py`` run in ``checkout``; its JSON result line."""
+    cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"),
+           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = out.stdout.splitlines()
     if out.returncode != 0 or not lines:
@@ -133,13 +157,21 @@ def main(argv=None) -> int:
         benchmark = json.load(fh)
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     metrics = CPU_METRICS if args.cpu else benchmark["end_to_end"]
+    if args.cpu:
+        runners = {side: cpu_runner(getattr(args, side), side)
+                   for side in ("parent", "change")}
+    else:
+        runners = {side: functools.partial(bench_run, getattr(args, side),
+                                           seconds=args.seconds)
+                   for side in ("parent", "change")}
     for workload in workloads:
+        if args.cpu:
+            for run in runners.values():
+                run(workload, args.seeds[0])  # warm-up, untimed
         pairs = []
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {side: bench_run(getattr(args, side), workload, seed,
-                                    args.seconds, args.cpu)
-                    for side in order}
+            pair = {side: runners[side](workload, seed) for side in order}
             if args.cpu:
                 same = pair["parent"]["csv_sha256"] == pair["change"]["csv_sha256"]
                 for run in pair.values():

@@ -10,13 +10,12 @@ inner response, symbols, training, noise, solver init) from exactly the
 stream of ``default_rng([seed, snr_index, trial_index, quantity_tag])``.
 The generators' seed words are computed in blocks of trials by a
 vectorised port of numpy's ``SeedSequence`` hash, checked against numpy
-once per block (``_trial_rng``).  Each SNR point's results come back in
-trial order and are aggregated before the next point starts, so the
-scientific outputs are identical for any ``threads`` setting and any
-scheduling.  Wall-clock runtime is the one environment-dependent
-quantity; with ``timing = false`` the CSV puts ``nan`` in its column,
-making the whole file byte-reproducible, while the JSON summary always
-carries the measured values.
+once per block (``_trial_rng``).  Every trial runs in the calling thread,
+in trial order, and each SNR point is aggregated before the next starts;
+``threads`` is recorded but has no effect on the run.  Wall-clock runtime
+is the one environment-dependent quantity; with ``timing = false`` the CSV
+puts ``nan`` in its column, making the whole file byte-reproducible, while
+the JSON summary always carries the measured values.
 
 The per-SNR error metrics declare their ambiguity handling explicitly: the
 per-column (diagonal) scaling shared between the channel estimate and the
@@ -30,11 +29,8 @@ import functools
 import json
 import math
 import os
-import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,7 +140,6 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 2**32 - 1
 _SEED_BLOCK = 256  # trials whose seed words are computed together
-_SEEDS = threading.local()  # per thread: the current block of seed words
 
 
 def _hasher(const: int, mult: int):
@@ -206,27 +201,30 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
+@functools.lru_cache(maxsize=1)
+def _checked_block(seed: int, snr_idx: int, start: int) -> np.ndarray | None:
+    """``_seed_block(seed, snr_idx, start)``, or None when its first row does
+    not seed the stream ``default_rng`` gives; the last block is kept."""
+    words = _seed_block(seed, snr_idx, start)
+    want = np.random.default_rng([seed, snr_idx, start, 0]).bit_generator.state
+    if np.random.PCG64(_SeedWords(words[0, 0])).state != want:
+        return None
+    return words
+
+
 def _trial_rng(seed: int, snr_idx: int, trial: int, tag: int) -> np.random.Generator:
     """A new generator on exactly the stream of ``default_rng([seed, snr_idx,
-    trial, tag])``.  Its seed words come from the thread's current block of
-    ``_SEED_BLOCK`` trials (``_seed_block``), whose first row is checked
-    against ``default_rng`` when the block is built; a block that fails the
+    trial, tag])``.  Its seed words come from the block of ``_SEED_BLOCK``
+    trials that holds ``trial`` (``_checked_block``); a block that fails its
     check, and entropy of another word layout (a trial index of 2**32 or
     more), go through ``default_rng`` itself."""
     if not (min(seed, snr_idx) >= 0 and 0 <= trial < 2**32 and 0 <= tag <= _TAG_INIT):
         return np.random.default_rng([seed, snr_idx, trial, tag])
-    block = getattr(_SEEDS, "block", None)
-    if block is None or block[0] != (seed, snr_idx) or not block[1] <= trial < block[2]:
-        start = trial - trial % _SEED_BLOCK
-        words = _seed_block(seed, snr_idx, start)
-        want = np.random.default_rng([seed, snr_idx, start, 0]).bit_generator.state
-        if np.random.PCG64(_SeedWords(words[0, 0])).state != want:
-            words = None
-        block = _SEEDS.block = (seed, snr_idx), start, start + _SEED_BLOCK, words
-    if block[3] is None:
+    start = trial - trial % _SEED_BLOCK
+    words = _checked_block(seed, snr_idx, start)
+    if words is None:
         return np.random.default_rng([seed, snr_idx, trial, tag])
-    words = block[3][trial - block[1], tag]
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+    return np.random.Generator(np.random.PCG64(_SeedWords(words[trial - start, tag])))
 
 
 def draw_scene(
@@ -357,17 +355,14 @@ def snr_grid(cfg: ExperimentConfig) -> tuple[float, ...]:
 def run_campaign(
     cfg: ExperimentConfig, out_dir: str | None = None
 ) -> list[MetricRow]:
-    """Run the campaign one SNR point at a time on one pool of
-    ``min(threads, trials)`` workers (none at 1); optionally write results.csv
-    and summary.json into ``out_dir``.  Returns one MetricRow per SNR point."""
+    """Run the campaign in the calling thread, one SNR point at a time and
+    each point's trials in order; optionally write results.csv and
+    summary.json into ``out_dir``.  Returns one MetricRow per SNR point."""
     validate_config(cfg)
-    workers = min(cfg.threads, cfg.trials)
     rows = []
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for si, snr in enumerate(snr_grid(cfg)):
-            trial = functools.partial(run_trial, cfg, snr, si)
-            results = (pool.map if pool else map)(trial, range(cfg.trials))
-            rows.append(_aggregate(snr, list(results)))
+    for si, snr in enumerate(snr_grid(cfg)):
+        trials = [run_trial(cfg, snr, si, trial) for trial in range(cfg.trials)]
+        rows.append(_aggregate(snr, trials))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_results_csv(os.path.join(out_dir, "results.csv"), rows, cfg)

@@ -7,7 +7,6 @@ so a campaign can reproduce any single draw from its seed.
 
 import functools
 import math
-import threading
 from typing import NamedTuple
 
 import numpy as np
@@ -75,30 +74,30 @@ class TrainingSpectrum(NamedTuple):
     high: float
 
 
-# The spectrum of the last read-only training each thread looked at, so a
-# drawn training's spectrum, taken for its rank check, reaches the receiver
+# (training, spectrum) of the last read-only training looked at, so a drawn
+# training's spectrum, taken for its rank check, reaches the receiver
 # without a second eigendecomposition.
-_LAST_SPECTRUM = threading.local()
+_last_spectrum = None
 
 
 def training_spectrum(f: np.ndarray) -> TrainingSpectrum:
     """``F^T F*`` and its extreme eigenvalues.
 
-    A read-only array that owns its data (every drawn training does) is
-    remembered, one per thread, by identity: asking again for the same
-    array returns the same spectrum without recomputing it.  Any other array
-    is never remembered, since it could change in between.
+    The last read-only array that owns its data (every drawn training does)
+    is remembered by identity: asking again for the same array returns the
+    same spectrum without recomputing it.  Any other array is never
+    remembered, since it could change in between.
     """
+    global _last_spectrum
     frozen = not f.flags.writeable and f.base is None
-    last = getattr(_LAST_SPECTRUM, "entry", None)
-    if frozen and last is not None and last[0] is f:
-        return last[1]
+    if frozen and _last_spectrum is not None and _last_spectrum[0] is f:
+        return _last_spectrum[1]
     gram = f.T @ f.conj()
     eigs = np.linalg.eigvalsh(gram)
     gram.flags.writeable = False
     spectrum = TrainingSpectrum(gram, float(eigs[0]), float(eigs[-1]))
     if frozen:
-        _LAST_SPECTRUM.entry = (f, spectrum)
+        _last_spectrum = (f, spectrum)
     return spectrum
 
 

@@ -36,8 +36,6 @@ def _apply_overrides(cfg, args):
     updates = {}
     if args.seed is not None:
         updates["seed"] = args.seed
-    if args.threads is not None:
-        updates["threads"] = args.threads
     if args.noiseless:
         updates["noiseless"] = True
     if updates:
@@ -131,9 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_out:
             p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the seed")
-        p.add_argument(
-            "--threads", type=int, default=None, help="override worker threads"
-        )
         p.add_argument(
             "--noiseless", action="store_true", help="single noise-free point"
         )

@@ -21,8 +21,9 @@ import numpy as np
 RECEIVERS = ("proposed", "bench-data-aided", "bench-pilot-aided")
 TRAININGS = ("lorentzian", "semi-unitary-dft")
 INNER_MODELS = ("random-phase", "physical")
-# Each campaign thread is an OS thread; a typo such as threads = 10000 would
-# start that many.
+# ``threads`` has no effect today: campaigns run in the calling thread.  It is
+# bounded because it is meant to count worker processes again, and a typo such
+# as threads = 10000 would then start that many.
 MAX_THREADS = 256
 # Checked before a range is expanded: 0:1e-6:1e6 would be 10**12 points.
 MAX_SNR_POINTS = 10_000
@@ -176,6 +177,10 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         raise ConfigError("max_iters must be >= 1")
     if not 1 <= cfg.threads <= MAX_THREADS:
         raise ConfigError(f"threads must be between 1 and {MAX_THREADS}")
+    if cfg.threads > 1:
+        warnings.append(
+            f"threads={cfg.threads} has no effect: campaigns run in the calling thread"
+        )
     if cfg.seed < 0:
         raise ConfigError("seed must be a non-negative integer")
     for name in ("tol", "rcond", "alpha", "beta", "spacing"):
@@ -208,18 +213,23 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             raise ConfigError("physical inner model requires spacing > 0")
         if cfg.alpha < 0:
             raise ConfigError("physical inner model requires alpha >= 0")
-        if cfg.receiver != "proposed":
+        with np.errstate(all="ignore"):  # reported below, not by numpy
+            m = gen_inner_physical(cfg.D, cfg.L, cfg.alpha, cfg.beta, cfg.spacing)
+            m_tilde = 1.0 / np.abs(m) ** 2
+        if not (np.all(np.isfinite(m)) and np.any(m)):
+            # No receiver estimates through such a response: every trial fails.
+            raise ConfigError(
+                "physical inner model response is non-finite or all zero at "
+                f"alpha={cfg.alpha}, beta={cfg.beta}, spacing={cfg.spacing}, L={cfg.L}"
+            )
+        if cfg.receiver != "proposed" and not np.all(np.isfinite(m_tilde)):
             # The closed forms weight element n by 1/|m[n]|^2, which is
             # infinite once the damped response underflows.
-            m = gen_inner_physical(cfg.D, cfg.L, cfg.alpha, cfg.beta, cfg.spacing)
-            with np.errstate(divide="ignore", over="ignore"):
-                m_tilde = 1.0 / np.abs(m) ** 2
-            if not np.all(np.isfinite(m_tilde)):
-                raise ConfigError(
-                    "physical inner model underflows: 1/|m|^2 is infinite at "
-                    f"alpha={cfg.alpha}, spacing={cfg.spacing}, L={cfg.L}, "
-                    "so the benchmark receivers cannot weight it"
-                )
+            raise ConfigError(
+                "physical inner model underflows: 1/|m|^2 is infinite at "
+                f"alpha={cfg.alpha}, spacing={cfg.spacing}, L={cfg.L}, "
+                "so the benchmark receivers cannot weight it"
+            )
     if not all(math.isfinite(v) for v in cfg.snr_grid_db):
         # add_noise would run an infinite SNR noise-free and a NaN one with
         # NaN noise; the noise-free point is selected by ``noiseless``.

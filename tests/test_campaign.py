@@ -2,9 +2,7 @@ import dataclasses
 import json
 import math
 import os
-import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -86,49 +84,34 @@ def test_trial_rng_is_default_rng_stream_for_stream(seed, snr_idx, trial, tag):
     _assert_same_stream(rng, seed, snr_idx, trial, tag)
 
 
-def test_trial_rng_serves_every_tag_from_a_checked_block():
+@pytest.fixture
+def fresh_blocks():
+    """An empty seed-block cache, emptied again afterwards, so that no block
+    built under a patched constant outlives the test."""
+    campaign._checked_block.cache_clear()
+    yield
+    campaign._checked_block.cache_clear()
+
+
+def test_trial_rng_serves_every_tag_from_a_checked_block(fresh_blocks):
     for tag in range(campaign._TAG_INIT + 1):
         _assert_same_stream(_trial_rng(3, 1, 300, tag), 3, 1, 300, tag)
-    assert campaign._SEEDS.block[3] is not None  # the block passed its check
+    info = campaign._checked_block.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, campaign._TAG_INIT, 1)
+    words = campaign._checked_block(3, 1, 300 - 300 % campaign._SEED_BLOCK)
+    assert words is not None  # the block passed its check
+    assert words.shape == (campaign._SEED_BLOCK, campaign._TAG_INIT + 1, 4)
+    assert not words.flags.writeable
 
 
-def test_a_block_that_fails_its_check_falls_back_to_default_rng(monkeypatch):
+def test_a_block_that_fails_its_check_falls_back_to_default_rng(
+    monkeypatch, fresh_blocks
+):
     # A wrong hash constant stands for a numpy whose seeding algorithm changed.
-    monkeypatch.setattr(campaign, "_SEEDS", threading.local())
     monkeypatch.setattr(campaign, "_MULT_B", campaign._MULT_B ^ 1)
     for trial in (0, 1, 100):
         _assert_same_stream(_trial_rng(5, 2, trial, 4), 5, 2, trial, 4)
-    assert campaign._SEEDS.block[3] is None
-
-
-def test_trial_rng_generators_are_per_thread():
-    # A takes a generator, B then seeds another block and draws with the
-    # same tag, then A draws: A's stream and block are untouched by B's.
-    a_took, b_drew = threading.Event(), threading.Event()
-    seen = {}
-
-    def thread_a():
-        rng = _trial_rng(9, 0, 5, 2)
-        a_took.set()
-        assert b_drew.wait(timeout=30)
-        _assert_same_stream(rng, 9, 0, 5, 2)
-        seen["a_start"] = campaign._SEEDS.block[1]
-        seen["a"] = rng
-
-    def thread_b():
-        assert a_took.wait(timeout=30)
-        rng = _trial_rng(9, 0, 1000, 2)
-        rng.standard_normal(50)
-        seen["b_start"] = campaign._SEEDS.block[1]
-        seen["b"] = rng
-        b_drew.set()
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for future in [pool.submit(thread_a), pool.submit(thread_b)]:
-            future.result(timeout=60)
-    assert seen["a"] is not seen["b"]
-    assert seen["a_start"] == 0
-    assert seen["b_start"] == 1000 - 1000 % campaign._SEED_BLOCK
+    assert campaign._checked_block(5, 2, 0) is None
 
 
 def test_seeded_block_serves_a_desk_trial_without_seed_sequences(monkeypatch):
@@ -157,7 +140,9 @@ def test_seeded_block_serves_a_desk_trial_without_seed_sequences(monkeypatch):
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
-def test_campaign_rows_do_not_depend_on_the_seed_block_size(monkeypatch, block):
+def test_campaign_rows_do_not_depend_on_the_seed_block_size(
+    monkeypatch, fresh_blocks, block
+):
     cfg = _tiny(trials=9, snr_grid_db=(0.0, 10.0, 20.0))
     with monkeypatch.context() as plain:
         plain.setattr(
@@ -165,36 +150,9 @@ def test_campaign_rows_do_not_depend_on_the_seed_block_size(monkeypatch, block):
             lambda *key: np.random.default_rng(list(key)),
         )
         want = render_csv(run_campaign(cfg), cfg)
-    monkeypatch.setattr(campaign, "_SEEDS", threading.local())
     if block is not None:
         monkeypatch.setattr(campaign, "_SEED_BLOCK", block)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # many thread switches inside each trial
-    try:
-        for threads in (1, 3):
-            rows = run_campaign(dataclasses.replace(cfg, threads=threads))
-            assert render_csv(rows, cfg) == want
-    finally:
-        sys.setswitchinterval(interval)
-
-
-def test_seed_table_holds_one_block_per_thread(monkeypatch):
-    monkeypatch.setattr(campaign, "_SEEDS", threading.local())
-    cfg = _tiny(trials=10**6)
-
-    def draw_both():
-        for trial in (0, 999_999):
-            draw_scene(cfg, 10.0, 0, trial)
-        return dict(vars(campaign._SEEDS))
-
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        held = [draw_both(), pool.submit(draw_both).result(timeout=60)]
-    for state in held:
-        assert set(state) == {"block"}
-        key, start, stop, words = state["block"]
-        assert start <= 999_999 < stop == start + campaign._SEED_BLOCK
-        assert words.shape == (campaign._SEED_BLOCK, campaign._TAG_INIT + 1, 4)
-        assert not words.flags.writeable
+    assert render_csv(run_campaign(cfg), cfg) == want
 
 
 @pytest.mark.parametrize(
@@ -408,29 +366,19 @@ def test_campaign_rows_are_identical_across_thread_counts():
     assert render_csv(rows1, cfg1) == render_csv(rows4, cfg1)
 
 
-def test_campaign_pool_is_no_larger_than_its_task_list(monkeypatch):
-    # Each SNR point maps its own trials, so one point's trial count bounds
-    # the pool; a single trial per point runs on the calling thread.
-    sizes, threads = [], set()
-    real_pool, real_trial = campaign.ThreadPoolExecutor, campaign.run_trial
+@pytest.mark.parametrize("threads", [1, 4])
+def test_campaign_runs_every_trial_on_the_calling_thread(monkeypatch, threads):
+    seen = []
+    real_trial = campaign.run_trial
 
-    def recording(max_workers):
-        sizes.append(max_workers)
-        return real_pool(max_workers=max_workers)
+    def trial(cfg, snr_db, snr_idx, index):
+        seen.append((threading.get_ident(), snr_idx, index))
+        return real_trial(cfg, snr_db, snr_idx, index)
 
-    def trial(*args):
-        threads.add(threading.get_ident())
-        return real_trial(*args)
-
-    monkeypatch.setattr(campaign, "ThreadPoolExecutor", recording)
     monkeypatch.setattr(campaign, "run_trial", trial)
-    run_campaign(_tiny(threads=8, trials=3))  # two SNR points, three trials each
-    assert sizes == [3]
-    sizes.clear()
-    threads.clear()
-    run_campaign(_tiny(threads=8, trials=1))
-    assert sizes == []
-    assert threads == {threading.get_ident()}
+    run_campaign(_tiny(threads=threads, trials=3))  # two SNR points
+    caller = threading.get_ident()
+    assert seen == [(caller, si, ti) for si in range(2) for ti in range(3)]
 
 
 @pytest.mark.parametrize("threads", [1, 3])

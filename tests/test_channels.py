@@ -1,5 +1,3 @@
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -173,38 +171,6 @@ def test_drawn_training_is_read_only_and_its_spectrum_remembered(monkeypatch):
     assert training_spectrum(copy).low == spectrum.low
     assert training_spectrum(copy).low == spectrum.low
     assert calls == [(16, 16), (16, 16)]
-
-
-def test_remembered_spectrum_is_per_thread(monkeypatch):
-    # Thread A draws, then thread B draws, then A asks for its training's
-    # spectrum: with one entry per thread, B's draw does not evict A's.
-    calls = []
-    real = np.linalg.eigvalsh
-    monkeypatch.setattr(
-        np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a)
-    )
-    a_drew, b_drew = threading.Event(), threading.Event()
-    seen = {}
-
-    def thread_a():
-        f = gen_lorentzian_training(12, 5, np.random.default_rng(1))
-        a_drew.set()
-        assert b_drew.wait(timeout=30)
-        before = len(calls)
-        seen["gram"] = training_spectrum(f).gram
-        seen["new_calls"] = len(calls) - before
-        seen["expected"] = f.T @ f.conj()
-
-    def thread_b():
-        assert a_drew.wait(timeout=30)
-        gen_lorentzian_training(12, 5, np.random.default_rng(2))
-        b_drew.set()
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        for future in [pool.submit(thread_a), pool.submit(thread_b)]:
-            future.result(timeout=60)
-    assert seen["new_calls"] == 0
-    np.testing.assert_array_equal(seen["gram"], seen["expected"])
 
 
 def test_dft_training_two_by_two_frozen():

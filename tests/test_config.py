@@ -3,9 +3,11 @@ import glob
 import math
 import os
 import time
+import warnings
 
 import pytest
 
+from dmasim.campaign import run_campaign
 from dmasim.config import (
     MAX_SNR_POINTS,
     MAX_THREADS,
@@ -189,12 +191,19 @@ _UNDERFLOW = {
         # an uncaught ValueError from the first trial.
         {"receiver": "bench-data-aided", **_UNDERFLOW},
         {"receiver": "bench-pilot-aided", **_UNDERFLOW},
+        # Under the proposed receiver too: a response that underflows to all
+        # zeros was accepted and failed every trial, and one that overflows
+        # made numpy print warnings from every trial.
+        {"inner_model": "physical", "alpha": 1000.0, "spacing": 1.0},
+        {"inner_model": "physical", "beta": 1e300, "spacing": 1e300},
     ],
 )
 def test_validate_rejects_bad_configs(override):
     cfg = dataclasses.replace(ExperimentConfig(), **override)
-    with pytest.raises(ConfigError):
-        validate_config(cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected, with no numpy warning
+        with pytest.raises(ConfigError):
+            validate_config(cfg)
 
 
 @pytest.mark.parametrize("threads", [0, MAX_THREADS + 1, 10_000])
@@ -211,6 +220,12 @@ def test_validate_rejects_threads_outside_the_ceiling(threads, tmp_path):
 def test_validate_accepts_threads_up_to_the_ceiling():
     for threads in (1, 4, MAX_THREADS):
         validate_config(dataclasses.replace(ExperimentConfig(), threads=threads))
+
+
+def test_validate_warns_that_threads_has_no_effect():
+    assert validate_config(ExperimentConfig()) == []
+    warned = validate_config(dataclasses.replace(ExperimentConfig(), threads=4))
+    assert warned == ["threads=4 has no effect: campaigns run in the calling thread"]
 
 
 def test_validate_warns_on_rank_deficient_training():
@@ -245,6 +260,20 @@ def test_validate_accepts_underflow_only_where_no_weight_needs_it():
             validate_config(dataclasses.replace(base, receiver=receiver))
         damped = dataclasses.replace(base, receiver=receiver, alpha=1.0)
         assert validate_config(damped) == []
+
+
+def test_a_partly_underflowing_physical_model_still_runs_under_proposed():
+    # Of exp(-200 l), l = 1..4, only the last entry underflows to zero: the
+    # response is usable.
+    cfg = dataclasses.replace(
+        ExperimentConfig(), inner_model="physical", alpha=200.0, spacing=1.0,
+        trials=2, snr_grid_db=(10.0,),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert validate_config(cfg) == []
+        (row,) = run_campaign(cfg)
+    assert (row.trials, row.failed) == (2, 0)
 
 
 def test_noiseless_config_tolerates_an_empty_grid():
