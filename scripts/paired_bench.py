@@ -12,6 +12,10 @@ side's spread.  Per workload it prints, for every end-to-end metric that
 ``BENCHMARK.json`` declares, each side's median and quartiles, the median
 and interquartile range of the change/parent ratios, and in how many
 pairs the change came out better.  Each pair is also printed as it ends.
+A last line per metric says whether a claimed gain would be met: the
+change better in at least nine pairs of ten (a tie counts for neither
+side), and its median better than the parent's by more than the parent's
+own interquartile range.
 
 Only ``bench/run.py`` writes anything, as it does when run by hand.
 ``--seeds`` takes a comma list of seeds and ``a-b`` ranges (``0-9,42``).
@@ -114,6 +118,19 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def claim_verdict(parent: list[float], change: list[float], higher: bool) -> str:
+    """Whether the pairs ``(parent[i], change[i])`` meet the rule for a
+    claimed gain, with the counts behind the verdict."""
+    sign = 1.0 if higher else -1.0
+    won = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+    q1, median, q3 = quartiles(parent)
+    gap = sign * (quartiles(change)[1] - median)
+    met = 10 * won >= 9 * len(parent) and gap > q3 - q1
+    return (f"claim {'met' if met else 'not met'}: change better in "
+            f"{won}/{len(parent)} pairs (9 in 10 needed), median gap "
+            f"{gap:.4g} against the parent's IQR {q3 - q1:.4g}")
+
+
 def report(workload: str, metrics: list[dict], pairs: list[tuple[dict, dict]]) -> None:
     runs = [run for pair in pairs for run in pair]
     print(f"{workload}: {len(pairs)} pairs, science correct in "
@@ -136,6 +153,7 @@ def report(workload: str, metrics: list[dict], pairs: list[tuple[dict, dict]]) -
               + "; ".join(cells)
               + f"; change/parent {q2:.4f} [{q1:.4f}, {q3:.4f}] (IQR {q3 - q1:.4f}),"
               f" change better in {won}/{len(ratios)}")
+        print("    " + claim_verdict(side["parent"], side["change"], higher))
 
 
 def main(argv=None) -> int:

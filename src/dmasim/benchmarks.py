@@ -74,12 +74,12 @@ def _unfolded_yf(y_unf: np.ndarray, mode: int, f: np.ndarray) -> np.ndarray:
 # The kernels: the receiver's half-step right-hand side (conj_rhs) on
 # ``yf = Y F*`` times the diagonal inverse Gram, the weight vector.
 def _channel_filter(
-    yf: np.ndarray, f: np.ndarray, x: np.ndarray, m_tilde: np.ndarray
+    yf: np.ndarray, f: np.ndarray, x: np.ndarray, m_tilde: np.ndarray,
+    s_energy: float,
 ) -> np.ndarray:
     p = _check_semi_unitary(f)
     m_tilde = _check_weights(m_tilde, "m_tilde")
-    # column n of x is s * m[n], so ||x||_F^2 = ||s||^2 * sum_n |m[n]|^2
-    s_energy = float(np.linalg.norm(x)) ** 2 / float(np.sum(1.0 / m_tilde))
+    # s_energy: ||s||^2 of the symbols (or pilots) s in x = outer(s, m)
     return conj_rhs(yf, x.conj(), 1) * (m_tilde / (p * s_energy))
 
 
@@ -92,15 +92,11 @@ def _symbol_filter(
     return conj_rhs(yf, h.conj(), 2) * (h_tilde / (p * t))
 
 
-def _pilot_channel_filter(
-    yf: np.ndarray, f: np.ndarray, pilots: np.ndarray, m: np.ndarray,
-    m_tilde: np.ndarray,
-) -> np.ndarray:
-    p = _check_semi_unitary(f)
-    m_tilde = _check_weights(m_tilde, "m_tilde")
-    t = _check_pilots(pilots)
-    x = build_rank_one(pilots, m)
-    return conj_rhs(yf, x.conj(), 1) * (m_tilde / (p * t))
+def _symbol_energy(x: np.ndarray, m_tilde: np.ndarray) -> float:
+    """``||s||^2`` of the rank-one block ``x = outer(s, m)`` whose inner
+    response has the inverse squared moduli ``m_tilde``: column n of x is
+    ``s * m[n]``, so ``||x||_F^2 = ||s||^2 * sum_n |m[n]|^2``."""
+    return float(np.linalg.norm(x)) ** 2 / float(np.sum(1.0 / m_tilde))
 
 
 def semi_unitary_h(
@@ -113,7 +109,9 @@ def semi_unitary_h(
     equals ``Y1 @ pinv(KR(F, X).T)`` exactly, for noisy data too.  The
     symbol energy ``||s||^2`` is recovered from ``x`` and ``m_tilde``.
     """
-    return _channel_filter(_unfolded_yf(y1, 1, f), f, x, m_tilde)
+    m_tilde = _check_weights(m_tilde, "m_tilde")  # before dividing by it
+    yf = _unfolded_yf(y1, 1, f)
+    return _channel_filter(yf, f, x, m_tilde, _symbol_energy(x, m_tilde))
 
 
 def semi_unitary_x(
@@ -132,7 +130,8 @@ def pilot_aided_h(
 ) -> np.ndarray:
     """Channel estimate from an all-pilot block:
     ``Y1 @ conj(KR(F, outer(pilots, m))) @ diag(m_tilde) / (P*T)``."""
-    return _pilot_channel_filter(_unfolded_yf(y1, 1, f), f, pilots, m, m_tilde)
+    x = build_rank_one(pilots, m)
+    return _channel_filter(_unfolded_yf(y1, 1, f), f, x, m_tilde, _check_pilots(pilots))
 
 
 def pilot_aided_m(
@@ -173,10 +172,11 @@ def data_aided_estimate(
     then the iterative receiver's second stage, ``split_and_anchor``."""
     m_tilde, h_tilde = oracle_weights(h_true, m_true)
     yf = contract_training(y, f)
-    h_hat = _channel_filter(yf, f, x_true, m_tilde)
-    x_hat = _symbol_filter(yf, f, h_true, h_tilde)
-    h_out, s_out, m_out, degenerate = split_and_anchor(h_hat, x_hat, s1_ref)
-    return EstimateReport(h_out, m_out, s_out, rank1_degenerate=degenerate)
+    h_hat = _channel_filter(yf, f, x_true, m_tilde, _symbol_energy(x_true, m_tilde))
+    split = split_and_anchor(_symbol_filter(yf, f, h_true, h_tilde), s1_ref)
+    return EstimateReport(
+        h_hat, split.m_hat, split.s_hat, rank1_degenerate=split.degenerate
+    )
 
 
 def pilot_aided_estimate(
@@ -188,13 +188,15 @@ def pilot_aided_estimate(
 ) -> EstimateReport:
     """One-shot pilot-aided reference receiver (no symbols to estimate): the
     closed-form channel and inner-response filters on oracle inputs
-    (``ORACLE_SIDE_INFORMATION``); the pilot block is known by design."""
+    (``ORACLE_SIDE_INFORMATION``); the pilot block is known by design, and
+    is returned itself as the symbol estimate."""
     m_tilde, h_tilde = oracle_weights(h_true, m_true)
-    h_hat = _pilot_channel_filter(
-        contract_training(y, f), f, pilots, m_true, m_tilde
+    x = build_rank_one(pilots, m_true)
+    h_hat = _channel_filter(
+        contract_training(y, f), f, x, m_tilde, _check_pilots(pilots)
     )
     m_hat = pilot_aided_m(unfold_mode2(y), f, h_true, h_tilde, pilots)
-    return EstimateReport(h_hat, m_hat, np.array(pilots, dtype=complex))
+    return EstimateReport(h_hat, m_hat, pilots)
 
 
 # The ground truth each reference receiver reads, by receiver name, as the

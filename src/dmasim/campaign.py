@@ -161,24 +161,20 @@ def _mix(x, y):
 def _seed_block(seed: int, snr_idx: int, start: int) -> np.ndarray:
     """``SeedSequence([seed, snr_idx, trial, tag]).generate_state(4, uint64)``
     for ``_SEED_BLOCK`` trials from ``start`` and every tag, as a read-only
-    (trial, tag, 4) array: numpy's ``mix_entropy`` run on whole columns."""
+    (trial, tag, 4) array: numpy's ``mix_entropy`` run on whole columns.
+    ``seed`` and ``snr_idx`` must be below 2**32, one entropy word each."""
     entropy = [
-        np.array([[(n >> shift) & _MASK32]], np.uint32)
-        for n in (int(seed), int(snr_idx))
-        for shift in range(0, max(n.bit_length(), 1), 32)
+        np.array([[seed]], np.uint32),
+        np.array([[snr_idx]], np.uint32),
+        (np.arange(start, start + _SEED_BLOCK) & _MASK32).astype(np.uint32)[:, None],
+        np.arange(_TAG_INIT + 1, dtype=np.uint32)[None, :],
     ]
-    trials = np.arange(start, start + _SEED_BLOCK) & _MASK32
-    entropy.append(trials.astype(np.uint32)[:, None])
-    entropy.append(np.arange(_TAG_INIT + 1, dtype=np.uint32)[None, :])
     hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:4]]
+    pool = [hashmix(word) for word in entropy]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:  # a seed or SNR index of 2**32 and above
-        for dst in range(4):
-            pool[dst] = _mix(pool[dst], hashmix(word))
     hashmix = _hasher(_INIT_B, _MULT_B)
     out = np.broadcast_arrays(*(hashmix(pool[i % 4]) for i in range(8)))
     words = np.stack(out, axis=-1).astype("<u4").view("<u8").astype(np.uint64)
@@ -216,9 +212,10 @@ def _trial_rng(seed: int, snr_idx: int, trial: int, tag: int) -> np.random.Gener
     """A new generator on exactly the stream of ``default_rng([seed, snr_idx,
     trial, tag])``.  Its seed words come from the block of ``_SEED_BLOCK``
     trials that holds ``trial`` (``_checked_block``); a block that fails its
-    check, and entropy of another word layout (a trial index of 2**32 or
-    more), go through ``default_rng`` itself."""
-    if not (min(seed, snr_idx) >= 0 and 0 <= trial < 2**32 and 0 <= tag <= _TAG_INIT):
+    check, and entropy of another word layout (a seed, SNR index or trial
+    index of 2**32 or more), go through ``default_rng`` itself."""
+    if not (0 <= seed <= _MASK32 and 0 <= snr_idx <= _MASK32
+            and 0 <= trial <= _MASK32 and 0 <= tag <= _TAG_INIT):
         return np.random.default_rng([seed, snr_idx, trial, tag])
     start = trial - trial % _SEED_BLOCK
     words = _checked_block(seed, snr_idx, start)
@@ -280,7 +277,8 @@ def score(
     shared-diagonal protocol: one per-column scaling, fitted on the channel
     estimate, applied consistently to both coupled estimates."""
     delta = diagonal_fit(report.h_hat, scene.h)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # Near -3000 dB, m_hat / delta nears 1e300 and its NMSE overflows to inf.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         nmse_h = nmse(report.h_hat * delta, scene.h)
         m_corr = np.where(delta != 0, report.m_hat / delta, np.inf)
         nmse_m = nmse(m_corr, scene.m)

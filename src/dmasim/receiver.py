@@ -421,16 +421,14 @@ def rank1_factorize(x_hat: np.ndarray) -> Rank1Split:
 
 
 def remove_ambiguity(
-    h_hat: np.ndarray,
-    s_hat: np.ndarray,
-    m_hat: np.ndarray,
-    s1_ref: complex,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    s_hat: np.ndarray, m_hat: np.ndarray, s1_ref: complex
+) -> tuple[np.ndarray, np.ndarray]:
     """Fix the scalar split ambiguity with one known reference symbol.
 
     Scales ``s_hat`` so its first entry equals ``s1_ref`` and counter-scales
     ``m_hat``, leaving their outer product unchanged.  The per-column
-    (diagonal) ambiguity shared between ``h_hat`` and ``m_hat`` remains.
+    (diagonal) ambiguity shared between the channel estimate and ``m_hat``
+    remains.
     """
     if s1_ref == 0:
         raise ValueError("the reference symbol must be nonzero")
@@ -440,20 +438,17 @@ def remove_ambiguity(
             "ambiguity unresolvable: estimated reference symbol is ~0"
         )
     lam = s1_ref / s_hat[0]
-    return np.array(h_hat, dtype=complex), lam * s_hat, m_hat / lam
+    return lam * s_hat, m_hat / lam
 
 
-def split_and_anchor(
-    h_hat: np.ndarray, x_hat: np.ndarray, s1_ref: complex
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+def split_and_anchor(x_hat: np.ndarray, s1_ref: complex) -> Rank1Split:
     """Stage two: split the fitted symbol block into (s, m) and anchor the
-    scale on the known reference symbol.  Returns ``(h, s, m, degenerate)``,
-    ``degenerate`` flagging a (near-)tied leading singular pair."""
+    scale on the known reference symbol; ``degenerate`` flags a
+    (near-)tied leading singular pair."""
     split = rank1_factorize(x_hat)
-    h_out, s_out, m_out = remove_ambiguity(
-        h_hat, split.s_hat, split.m_hat, s1_ref
+    return Rank1Split(
+        *remove_ambiguity(split.s_hat, split.m_hat, s1_ref), split.degenerate
     )
-    return h_out, s_out, m_out, split.degenerate
 
 
 def two_stage_estimate(
@@ -465,15 +460,15 @@ def two_stage_estimate(
 ) -> EstimateReport:
     """Full receiver: alternating-LS stage, rank-one split, ambiguity fix."""
     res = bals(y, f, cfg=cfg, rng=rng)
-    h_out, s_out, m_out, degenerate = split_and_anchor(res.h_hat, res.x_hat, s1_ref)
+    split = split_and_anchor(res.x_hat, s1_ref)
     return EstimateReport(
-        h_hat=h_out,
-        m_hat=m_out,
-        s_hat=s_out,
+        h_hat=res.h_hat,
+        m_hat=split.m_hat,
+        s_hat=split.s_hat,
         iterations=len(res.residuals),
         residual_trace=res.residuals,
         converged=res.converged,
-        rank1_degenerate=degenerate,
+        rank1_degenerate=split.degenerate,
     )
 
 

@@ -42,3 +42,38 @@ def test_every_traced_name_is_bound_and_callable(child):
         if not callable(getattr(module, attr, None))
     ]
     assert unbound == []
+
+
+_PROPOSED_SPANS = {
+    "campaign.run_trial", "channels", "signals.build", "signals.noise",
+    "receiver.bals", "receiver.two_stage_estimate", "receiver.rank1_factorize",
+    "receiver.remove_ambiguity", "metrics", "campaign.aggregate", "campaign.io",
+}
+_CLOSED_FORM_SPANS = _PROPOSED_SPANS - {
+    "receiver.bals", "receiver.two_stage_estimate"
+} | {"benchmarks.estimate", "benchmarks.matched_filter", "benchmarks.oracle_weights"}
+
+
+@pytest.mark.parametrize(
+    "workload, spans",
+    [
+        ("desk-proposed", _PROPOSED_SPANS),
+        ("scaled-proposed", _PROPOSED_SPANS),
+        ("desk-closed-form", _CLOSED_FORM_SPANS),
+    ],
+)
+def test_traced_layers_stay_reached(child, workload, spans, tmp_path):
+    # A refactor that stops calling a traced name zeroes its layer's metric
+    # without failing anything else: every layer each workload reaches
+    # must keep getting calls.
+    tracer = child.Tracer()
+    for entry in child.SPANS:
+        tracer.patch(*entry)
+    try:
+        for i, cfg in enumerate(child.load_workload(workload, seed=0, trials=1)):
+            child.campaign.run_campaign(cfg, out_dir=str(tmp_path / str(i)))
+    finally:
+        tracer.restore()
+    assert tracer.missing == []
+    totals = tracer.totals()
+    assert sorted(span for span in spans if span not in totals) == []

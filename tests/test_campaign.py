@@ -3,6 +3,7 @@ import json
 import math
 import os
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -254,28 +255,65 @@ def test_dft_trial_reuses_the_remembered_training_spectrum(monkeypatch):
 
 
 _DESK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg")
-_DESK_ROWS = os.path.join(os.path.dirname(__file__), "data", "desk_proposed_rows.json")
 
 
-@pytest.mark.parametrize("training", ["lorentzian", "semi-unitary-dft"])
-def test_desk_proposed_rows_match_the_recorded_reference(training):
-    # Rows recorded for configs/desk.cfg at seed 0 with 20 trials per point.
-    # Iteration means, SER and counts are exact; NMSE may move by roundoff.
-    with open(_DESK_ROWS, encoding="utf-8") as fh:
-        reference = json.load(fh)[training]
-    base, _ = load_config_file(_DESK_CFG)
-    cfg = dataclasses.replace(base, seed=0, trials=20, training=training)
-    rows = run_campaign(cfg)
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _assert_rows_match(rows, reference):
+    """Counts, iteration means and SER exact, NMSE within roundoff; a
+    reference ``null`` stands for NaN (no SER for pilot blocks)."""
     assert len(rows) == len(reference)
     for row, ref in zip(rows, reference):
         for name, field in _COLUMNS:
             if name == "mean_runtime_s":
                 continue
             got, want = getattr(row, field), ref[name]
-            if name.startswith("nmse"):
+            if want is None:
+                assert math.isnan(got), name
+            elif name.startswith("nmse"):
                 assert abs(got - want) <= 1e-9, name
             else:
                 assert got == want, name
+
+
+@pytest.mark.parametrize("training", ["lorentzian", "semi-unitary-dft"])
+def test_desk_proposed_rows_match_the_recorded_reference(training):
+    # Rows recorded for configs/desk.cfg at seed 0 with 20 trials per point.
+    with open(os.path.join(_DATA, "desk_proposed_rows.json"), encoding="utf-8") as fh:
+        reference = json.load(fh)[training]
+    base, _ = load_config_file(_DESK_CFG)
+    cfg = dataclasses.replace(base, seed=0, trials=20, training=training)
+    _assert_rows_match(run_campaign(cfg), reference)
+
+
+@pytest.mark.parametrize("receiver", ["bench-data-aided", "bench-pilot-aided"])
+def test_desk_closed_form_rows_match_the_recorded_reference(receiver):
+    # Rows recorded for configs/desk.cfg under DFT training, at seed 0 with
+    # 20 trials per point.
+    path = os.path.join(_DATA, "desk_closed_form_rows.json")
+    with open(path, encoding="utf-8") as fh:
+        reference = json.load(fh)[receiver]
+    base, _ = load_config_file(_DESK_CFG)
+    cfg = dataclasses.replace(
+        base, seed=0, trials=20, training="semi-unitary-dft", receiver=receiver
+    )
+    _assert_rows_match(run_campaign(cfg), reference)
+
+
+@pytest.mark.parametrize("receiver", RECEIVERS)
+def test_extreme_snr_campaigns_print_no_numpy_warning(receiver):
+    # At -3000 dB the closed forms' m-NMSE is beyond float range: those
+    # trials are filed as DegenerateMetricFit, with no overflow warning.
+    cfg = _tiny(
+        trials=2, snr_grid_db=(3000.0, -3000.0, -2999.5), receiver=receiver,
+        training="semi-unitary-dft",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = run_campaign(cfg)
+    low = {} if receiver == "proposed" else {"DegenerateMetricFit": 2}
+    assert [row.failure_categories for row in rows] == [{}, low, low]
 
 
 def test_run_trial_counts_generation_failures():
