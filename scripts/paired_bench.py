@@ -99,16 +99,21 @@ def cpu_runner(checkout: str, side: str):
     return run
 
 
-def bench_run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` run in ``checkout``; its JSON result line."""
+def bench_lines(checkout: str, workload: str, seed: int, *flags: str) -> tuple[dict, dict]:
+    """One ``bench/run.py`` run in ``checkout``: its report and result lines."""
     cmd = [sys.executable, os.path.join(checkout, "bench", "run.py"),
-           "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
+           "--workload", workload, "--seed", str(seed), *flags]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = out.stdout.splitlines()
-    if out.returncode != 0 or not lines:
+    if out.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{checkout}: {workload} seed {seed} failed "
                            f"(exit {out.returncode}): {out.stderr.strip()}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-2])["report"], json.loads(lines[-1])
+
+
+def bench_run(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced ``bench/run.py`` run in ``checkout``; its result line."""
+    return bench_lines(checkout, workload, seed, "--seconds", str(seconds))[1]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:

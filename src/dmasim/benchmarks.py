@@ -191,11 +191,10 @@ def pilot_aided_estimate(
     (``ORACLE_SIDE_INFORMATION``); the pilot block is known by design, and
     is returned itself as the symbol estimate."""
     m_tilde, h_tilde = oracle_weights(h_true, m_true)
-    x = build_rank_one(pilots, m_true)
-    h_hat = _channel_filter(
-        contract_training(y, f), f, x, m_tilde, _check_pilots(pilots)
-    )
+    # pilot_aided_m checks the pilots, whose squared norm is then T.
     m_hat = pilot_aided_m(unfold_mode2(y), f, h_true, h_tilde, pilots)
+    x = build_rank_one(pilots, m_true)
+    h_hat = _channel_filter(contract_training(y, f), f, x, m_tilde, len(pilots))
     return EstimateReport(h_hat, m_hat, pilots)
 
 

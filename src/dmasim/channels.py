@@ -7,7 +7,6 @@ so a campaign can reproduce any single draw from its seed.
 
 import functools
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,23 +64,15 @@ def lorentzian_entry(phi: np.ndarray | float) -> np.ndarray | complex:
     return (1j + np.exp(1j * np.asarray(phi))) / 2.0
 
 
-class TrainingSpectrum(NamedTuple):
-    """The Gram ``F^T F*`` of a training matrix and its extreme eigenvalues,
-    as ``eigvalsh`` computes them.  The Gram is read-only."""
-
-    gram: np.ndarray
-    low: float
-    high: float
-
-
 # (training, spectrum) of the last read-only training looked at, so a drawn
 # training's spectrum, taken for its rank check, reaches the receiver
 # without a second eigendecomposition.
 _last_spectrum = None
 
 
-def training_spectrum(f: np.ndarray) -> TrainingSpectrum:
-    """``F^T F*`` and its extreme eigenvalues.
+def training_spectrum(f: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """``(gram, low, high)``: the read-only Gram ``F^T F*`` and its extreme
+    eigenvalues, as ``eigvalsh`` computes them.
 
     The last read-only array that owns its data (every drawn training does)
     is remembered by identity: asking again for the same array returns the
@@ -95,7 +86,7 @@ def training_spectrum(f: np.ndarray) -> TrainingSpectrum:
     gram = f.T @ f.conj()
     eigs = np.linalg.eigvalsh(gram)
     gram.flags.writeable = False
-    spectrum = TrainingSpectrum(gram, float(eigs[0]), float(eigs[-1]))
+    spectrum = gram, float(eigs[0]), float(eigs[-1])
     if frozen:
         _last_spectrum = (f, spectrum)
     return spectrum

@@ -51,6 +51,9 @@ CHOLESKY_DIAG_RATIO = 1e-3
 # range, where the Gram's entries lose relative accuracy.
 _SCHUR_PIVOT_MARGIN = 1 / (10 * CHOLESKY_DIAG_RATIO**2)
 _SCHUR_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+# A normalised residual at or below this is an exact fit and stops the run,
+# which also keeps the relative test off a zero denominator on noiseless data.
+EPS_FLOOR = 1e-12
 # Slack, relative to tol, for the roundings of the quotient |eps - prev| /
 # prev: two in the explicit rule, a few in its interval form.
 _RULE_SLACK = 8 * np.finfo(float).eps
@@ -63,18 +66,15 @@ class BalsConfig:
     """Knobs of the alternating-LS stage.
 
     ``tol`` stops the iteration once the relative change of the normalised
-    residual falls below it; ``eps_floor`` declares an exact fit (and stops)
-    once the residual itself falls below it, which also guards the relative
-    test against division by zero on noiseless data.  ``rcond`` is the
-    singular-value cutoff of the pseudo-inverse fallback only; the normal
-    equations do not use it.  ``init`` optionally pins the symbol-block
-    starting point instead of a random draw.
+    residual falls below it (or the residual itself below ``EPS_FLOOR``).
+    ``rcond`` is the singular-value cutoff of the pseudo-inverse fallback
+    only; the normal equations do not use it.  ``init`` optionally pins the
+    symbol-block starting point instead of a random draw.
     """
 
     max_iters: int = 1000
     tol: float = 1e-6
     rcond: float = 1e-12
-    eps_floor: float = 1e-12
     init: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -245,14 +245,14 @@ def _stop(
     eps: float, w: float, prev: float | None, pw: float, cfg: BalsConfig
 ) -> bool | None:
     """The stopping rule on trace entries known to within the relative radii
-    ``w`` (``eps``) and ``pw`` (``prev``): stop once ``eps <= eps_floor`` or
+    ``w`` (``eps``) and ``pw`` (``prev``): stop once ``eps <= EPS_FLOOR`` or
     ``|eps - prev| / prev <= tol``.  Returns None when the radii leave the
     outcome open; with both radii zero it is the rule itself.  ``prev`` is
-    above ``eps_floor``, or the run would have stopped there.
+    above ``EPS_FLOOR``, or the run would have stopped there.
     """
-    if eps * (1.0 + w) <= cfg.eps_floor:
+    if eps * (1.0 + w) <= EPS_FLOOR:
         return True
-    if eps * (1.0 - w) <= cfg.eps_floor:
+    if eps * (1.0 - w) <= EPS_FLOOR:
         return None
     if prev is None:
         return False

@@ -18,8 +18,7 @@ from .tensor_ops import parafac_build
 @dataclass(frozen=True)
 class ReceivedTensor:
     y: np.ndarray
-    snr_db: float | None  # None for a noiseless block
-    noise_variance: float
+    noise_variance: float  # 0.0 for a noiseless block
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,7 @@ def build_noiseless(h: np.ndarray, x: np.ndarray, f: np.ndarray) -> ReceivedTens
     """Noiseless received block from channel (K,N), symbol block (T,N) and
     training (P,N)."""
     y = parafac_build(h, x, f)
-    return ReceivedTensor(y=y, snr_db=None, noise_variance=0.0)
+    return ReceivedTensor(y=y, noise_variance=0.0)
 
 
 def add_noise(
@@ -56,12 +55,15 @@ def add_noise(
 
     The per-entry noise variance is ``||Y||_F^2 / (K*T*P * 10**(snr_db/10))``,
     i.e. SNR is defined against the average signal power per tensor entry.
-    ``snr_db=None`` or ``inf`` returns the block unchanged.
+    ``snr_db=None`` or ``+inf`` returns the block unchanged; NaN and ``-inf``
+    are rejected.
     """
     if rt.noise_variance != 0.0:
         raise ValueError("add_noise expects a noiseless block")
-    if snr_db is None or np.isinf(snr_db):
+    if snr_db is None or snr_db == np.inf:
         return rt
+    if not np.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db}")
     y = rt.y
     sig = float(np.linalg.norm(y)) ** 2
     var = sig / (y.size * 10.0 ** (snr_db / 10.0))
@@ -72,7 +74,7 @@ def add_noise(
     noisy.imag = rng.standard_normal(y.shape)
     noisy *= np.sqrt(var / 2.0)
     noisy += y
-    return ReceivedTensor(y=noisy, snr_db=float(snr_db), noise_variance=var)
+    return ReceivedTensor(y=noisy, noise_variance=var)
 
 
 def identifiability_preflight(k: int, t: int, p: int, n: int) -> IdentifiabilityReport:

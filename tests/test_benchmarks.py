@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dmasim import benchmarks
 from dmasim.benchmarks import (
     data_aided_estimate,
     oracle_weights,
@@ -162,6 +163,29 @@ def test_pilot_aided_estimate_noiseless_is_exact():
     assert rep.s_hat is s  # the known pilot block itself, not a copy
     assert rep.iterations == 1
     assert rep.residual_trace.shape == (0,)  # one-shot: no residual
+
+
+def test_pilot_aided_estimate_checks_the_pilots_once(monkeypatch):
+    # One norm of the pilot block per trial; the estimate is still the two
+    # public closed forms bit for bit, and bad pilots are still refused.
+    h, m, s, f, x = _scene(9, pilots=True)
+    y = add_noise(build_noiseless(h, x, f), 10.0, np.random.default_rng(90)).y
+    calls = []
+    real = benchmarks._check_pilots
+    monkeypatch.setattr(
+        benchmarks, "_check_pilots", lambda p: calls.append(p) or real(p)
+    )
+    rep = pilot_aided_estimate(y, f, h_true=h, m_true=m, pilots=s)
+    assert len(calls) == 1
+    m_tilde, h_tilde = oracle_weights(h, m)
+    np.testing.assert_array_equal(
+        rep.h_hat, pilot_aided_h(unfold_mode1(y), f, s, m, m_tilde)
+    )
+    np.testing.assert_array_equal(
+        rep.m_hat, pilot_aided_m(unfold_mode2(y), f, h, h_tilde, s)
+    )
+    with pytest.raises(ValueError, match="pilot"):
+        pilot_aided_estimate(y, f, h_true=h, m_true=m, pilots=2.0 * s)
 
 
 def test_data_aided_estimate_tracks_noise_level():

@@ -380,7 +380,7 @@ def test_bals_residual_trace_is_the_full_model_misfit(p, snr_db):
 def test_bals_forms_no_qr_and_checks_the_exact_fit_explicitly(monkeypatch):
     # The residual needs no factorisation of F.  On noiseless data the Gram
     # form cancels to within its error bound near the exact fit, so the
-    # eps_floor stop is decided on the explicit misfit.
+    # EPS_FLOOR stop is decided on the explicit misfit.
     h, m, s, f, x = _scene(44, k=8, t=10, p=32, n=16, order=64)
     qr_calls = _count_calls(monkeypatch, np.linalg, "qr")
     misfit_calls = _count_calls(monkeypatch, receiver, "_misfit")
@@ -499,24 +499,27 @@ def test_gram_misfit_interval_holds_the_misfit_and_decides_as_explicit(
     (prev, pw), (eps, w) = fits
     margin = (1.0 if above else -1.0) * 10.0**log_margin
     change = abs(explicit[1] - explicit[0]) / explicit[0]
-    for cfg in (
-        BalsConfig(eps_floor=explicit[1] * (1.0 + margin), tol=0.0),
-        BalsConfig(eps_floor=0.0, tol=change * (1.0 + margin)),
+    for floor, tol in (
+        (explicit[1] * (1.0 + margin), 0.0),
+        (0.0, change * (1.0 + margin)),
     ):
-        certain = receiver._stop(eps, w, prev, pw, cfg)
-        if certain is not None and explicit[0] > cfg.eps_floor:
-            assert certain == receiver._stop(explicit[1], 0.0, explicit[0], 0.0, cfg)
+        cfg = BalsConfig(tol=tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(receiver, "EPS_FLOOR", floor)
+            certain = receiver._stop(eps, w, prev, pw, cfg)
+            if certain is not None and explicit[0] > floor:
+                assert certain == receiver._stop(explicit[1], 0.0, explicit[0], 0.0, cfg)
 
 
 @pytest.mark.parametrize("p", [12, 6])  # P > N and P == N, N = 6
 def test_bals_noiseless_stops_on_the_exact_fit_floor(p):
     h, m, s, f, x = _scene(35, p=p)
     y = build_noiseless(h, x, f).y
-    cfg = BalsConfig(tol=0.0)  # only the eps_floor test can stop the run
+    cfg = BalsConfig(tol=0.0)  # only the EPS_FLOOR test can stop the run
     res = bals(y, f, cfg=cfg, rng=np.random.default_rng(36))
     assert res.converged
     assert len(res.residuals) < cfg.max_iters
-    assert res.residuals[-1] <= cfg.eps_floor
+    assert res.residuals[-1] <= receiver.EPS_FLOOR
 
 
 def test_rank1_factorize_exact_rank_one_block():

@@ -26,7 +26,6 @@ def test_build_noiseless_fields_and_value():
     x = rand_cn(rng, 4, 2)
     f = rand_cn(rng, 5, 2)
     rt = build_noiseless(h, x, f)
-    assert rt.snr_db is None
     assert rt.noise_variance == 0.0
     assert relerr(rt.y, tensor_oracle(h, x, f)) < 1e-13
 
@@ -45,7 +44,6 @@ def test_add_noise_variance_formula_is_exact():
     assert noisy.noise_variance == pytest.approx(
         sig / (rt.y.size * 10.0), rel=1e-12
     )
-    assert noisy.snr_db == 10.0
 
 
 def test_add_noise_is_the_unfused_sum_bit_for_bit():
@@ -73,6 +71,14 @@ def test_add_noise_passthrough_for_infinite_snr():
     rt = _noiseless_block()
     assert add_noise(rt, None, np.random.default_rng(0)) is rt
     assert add_noise(rt, np.inf, np.random.default_rng(0)) is rt
+
+
+@pytest.mark.parametrize("snr_db", [-np.inf, np.nan])
+def test_add_noise_rejects_nan_and_minus_infinite_snr(snr_db):
+    # Neither returns the clean block nor an all-NaN one.
+    rt = _noiseless_block()
+    with pytest.raises(ValueError, match="snr_db"):
+        add_noise(rt, snr_db, np.random.default_rng(0))
 
 
 def test_add_noise_refuses_to_stack_noise():
