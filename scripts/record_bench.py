@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Record one checkout's benchmark numbers as ``BENCH_<short-sha>.json``.
 
-    python3 scripts/record_bench.py [CHECKOUT] --seeds 0-9 --out-dir .
+    python3 scripts/record_bench.py [CHECKOUT] --out-dir .
 
 For every workload that the checkout's ``BENCHMARK.json`` declares it runs
-the checkout's own ``bench/run.py`` once per seed, for the benchmark's
+the checkout's own ``bench/run.py`` once per seed 0-9, for the benchmark's
 ``run_seconds``, and keeps, per end-to-end metric, the median, quartiles
 and IQR over the seeds with each seed's value, plus the counts of correct
 runs and failed trials.  It adds
@@ -15,10 +15,9 @@ The machine facts come from that run's report line: nproc, Python, numpy,
 BLAS name and version, the BLAS thread environment, the git sha and the
 sha256 of ``src/``.
 
-``CHECKOUT`` defaults to the repository holding this script.  The file is
-named after the checkout's git sha, or after its ``src/`` sha when it is
-not a git checkout.  Only ``bench/run.py`` and the output file are
-written; ``bench/`` is only read.
+``CHECKOUT`` defaults to the repository holding this script; it must be
+a git checkout, since the file is named after its sha.  Only the output
+file is written; ``bench/`` is only read.
 """
 
 import argparse
@@ -35,6 +34,8 @@ _spec = importlib.util.spec_from_file_location(
 )
 paired_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(paired_bench)
+
+SEEDS = list(range(10))
 
 
 def spread(values: list[float]) -> dict:
@@ -73,6 +74,8 @@ def record(benchmark: dict, workloads: list[str], seeds: list[int],
         report, traced = trace(workload, seeds[0])
         environment = dict(report["environment"])
         config_sha = environment.pop("config_sha")
+        if not environment.get("git_sha"):
+            raise RuntimeError(f"{workload}: no git sha to name the record by")
         doc.setdefault("environment", environment)
         if environment != doc["environment"]:
             raise RuntimeError(f"{workload}: environment changed while recording")
@@ -91,8 +94,7 @@ def record(benchmark: dict, workloads: list[str], seeds: list[int],
 
 
 def file_name(environment: dict) -> str:
-    sha = environment.get("git_sha")
-    return f"BENCH_{sha[:7] if sha else 'src-' + environment['src_sha256'][:7]}.json"
+    return f"BENCH_{environment['git_sha'][:7]}.json"
 
 
 def main(argv=None) -> int:
@@ -100,27 +102,23 @@ def main(argv=None) -> int:
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("checkout", nargs="?", default=os.path.dirname(HERE))
-    parser.add_argument("--workload", action="append",
-                        help="repeat for several; default: every workload")
-    parser.add_argument("--seeds", type=paired_bench.parse_seeds,
-                        default=paired_bench.parse_seeds("0-9"))
     parser.add_argument("--out-dir", default=".")
     args = parser.parse_args(argv)
     checkout = os.path.abspath(args.checkout)
 
     with open(os.path.join(checkout, "BENCHMARK.json"), encoding="utf-8") as fh:
         benchmark = json.load(fh)
-    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
+    workloads = [w["name"] for w in benchmark["workloads"]]
 
     started = datetime.datetime.now(datetime.timezone.utc)
     doc = record(
-        benchmark, workloads, args.seeds,
+        benchmark, workloads, SEEDS,
         run=lambda w, s: paired_bench.bench_run(checkout, w, s, benchmark["run_seconds"]),
         trace=lambda w, s: paired_bench.bench_lines(checkout, w, s, "--trace", "1"),
         cpu=paired_bench.cpu_runner(checkout, "recorded"),
     )
     doc = {"recorded_at": started.isoformat(timespec="seconds"),
-           "settings": {"seeds": args.seeds, "seconds": benchmark["run_seconds"]},
+           "settings": {"seeds": SEEDS, "seconds": benchmark["run_seconds"]},
            **doc}
     path = os.path.join(args.out_dir, file_name(doc["environment"]))
     with open(path, "w", encoding="utf-8") as fh:

@@ -111,6 +111,10 @@ def test_record_refuses_an_environment_that_changes(record_bench):
                                 "cpu_trials_per_s": {"value": 1.0}}})
 
 
-def test_a_plain_checkout_is_named_by_its_source(record_bench):
-    name = record_bench.file_name(_environment(git_sha=None))
-    assert name == "BENCH_src-fedcba9.json"
+def test_record_refuses_a_checkout_without_a_git_sha(record_bench):
+    def trace(workload, seed):
+        return {"environment": _environment(config_sha=[], git_sha=None)}, {}
+
+    with pytest.raises(RuntimeError, match="no git sha"):
+        record_bench.record({"end_to_end": END_TO_END}, ["a"], [0],
+                            run=None, trace=trace, cpu=None)
