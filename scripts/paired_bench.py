@@ -12,10 +12,10 @@ side's spread.  Per workload it prints, for every end-to-end metric that
 ``BENCHMARK.json`` declares, each side's median and quartiles, the median
 and interquartile range of the change/parent ratios, and in how many
 pairs the change came out better.  Each pair is also printed as it ends.
-A last line per metric says whether a claimed gain would be met: the
-change better in at least nine pairs of ten (a tie counts for neither
-side), and its median better than the parent's by more than the parent's
-own interquartile range.
+A last line per metric says whether a claimed gain would be met: at least
+ten pairs, the change better in at least nine pairs of ten (a tie counts
+for neither side), and its median better than the parent's by more than
+the parent's own interquartile range.
 
 Only ``bench/run.py`` writes anything, as it does when run by hand.
 ``--seeds`` takes a comma list of seeds and ``a-b`` ranges (``0-9,42``).
@@ -55,6 +55,8 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+# Fewest pairs on which a claimed gain can be met.
+MIN_PAIRS = 10
 CPU_METRICS = [{"name": "cpu_trials_per_s", "unit": "trials/CPU s", "better": "higher"}]
 
 
@@ -130,9 +132,10 @@ def claim_verdict(parent: list[float], change: list[float], higher: bool) -> str
     won = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
     q1, median, q3 = quartiles(parent)
     gap = sign * (quartiles(change)[1] - median)
-    met = 10 * won >= 9 * len(parent) and gap > q3 - q1
+    met = len(parent) >= MIN_PAIRS and 10 * won >= 9 * len(parent) and gap > q3 - q1
     return (f"claim {'met' if met else 'not met'}: change better in "
-            f"{won}/{len(parent)} pairs (9 in 10 needed), median gap "
+            f"{won}/{len(parent)} pairs (9 in 10 of at least {MIN_PAIRS} "
+            f"needed), median gap "
             f"{gap:.4g} against the parent's IQR {q3 - q1:.4g}")
 
 

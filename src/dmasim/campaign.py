@@ -287,7 +287,7 @@ def score(
     trial_ser = (
         math.nan
         if scene.s_idx is None
-        else ser(report.s_hat, scene.s_idx, cfg.qam_order, anchor_index=0)
+        else ser(report.s_hat, scene.s_idx, cfg.qam_order)
     )
     return TrialResult(
         nmse_h=nmse_h,

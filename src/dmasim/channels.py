@@ -51,9 +51,9 @@ def gen_inner_physical(
     """
     if d < 1 or l < 1:
         raise ValueError("d and l must be positive")
-    if spacing <= 0.0:
+    if not spacing > 0.0:  # NaN fails too
         raise ValueError("spacing must be positive")
-    if alpha < 0.0:
+    if not alpha >= 0.0:
         raise ValueError("alpha must be nonnegative")
     x = spacing * np.arange(1, l + 1, dtype=float)
     return np.tile(np.exp(-(alpha + 1j * beta) * x), d)
@@ -72,7 +72,9 @@ _last_spectrum = None
 
 def training_spectrum(f: np.ndarray) -> tuple[np.ndarray, float, float]:
     """``(gram, low, high)``: the read-only Gram ``F^T F*`` and its extreme
-    eigenvalues, as ``eigvalsh`` computes them.
+    eigenvalues, as ``eigvalsh`` computes them; both are NaN when the Gram
+    has a non-finite entry.  This is the one place the package forms the
+    Gram of a training and takes its spectrum.
 
     The last read-only array that owns its data (every drawn training does)
     is remembered by identity: asking again for the same array returns the
@@ -84,9 +86,13 @@ def training_spectrum(f: np.ndarray) -> tuple[np.ndarray, float, float]:
     if frozen and _last_spectrum is not None and _last_spectrum[0] is f:
         return _last_spectrum[1]
     gram = f.T @ f.conj()
-    eigs = np.linalg.eigvalsh(gram)
+    if np.isfinite(gram).all():
+        eigs = np.linalg.eigvalsh(gram)
+        low, high = float(eigs[0]), float(eigs[-1])
+    else:  # eigvalsh raises on some of these and returns NaN on others
+        low = high = math.nan
     gram.flags.writeable = False
-    spectrum = gram, float(eigs[0]), float(eigs[-1])
+    spectrum = gram, low, high
     if frozen:
         _last_spectrum = (f, spectrum)
     return spectrum
@@ -126,30 +132,29 @@ def full_column_rank(f: np.ndarray) -> bool:
     ``_RANK_MARGIN`` = 1e4 times ``kappa + tau^2`` and a smallest eigenvalue
     clear of the underflow range.  Over 200 Lorentzian draws the ratio was
     at least 3.6e-3 at P = 32, N = 16 and 1.3e-3 at P = 128, N = 64,
-    against bounds of 2.4e-9 and 3.7e-8.  An eigendecomposition that fails,
-    a NaN, a non-positive or a too-small ``low`` declines, and
+    against bounds of 2.4e-9 and 3.7e-8.  A NaN spectrum (a non-finite
+    Gram), a non-positive or a too-small ``low`` declines, and
     ``matrix_rank`` decides (or raises) exactly as it would alone.
     """
     p, n = f.shape
     eps = np.finfo(float).eps
     kappa = 2.0 * (p + 2) * n * eps
     tau = 2.0 * max(p, n) * eps
-    try:
-        _, low, high = training_spectrum(f)
-    except np.linalg.LinAlgError:  # eigvalsh fails on NaN entries
-        low = high = math.nan
+    _, low, high = training_spectrum(f)
     if low >= _RANK_FLOOR and _RANK_MARGIN * (kappa + tau * tau) * high <= low:
         return True
     return bool(np.linalg.matrix_rank(f) == n)
 
 
-def gen_lorentzian_training(
-    p: int, n: int, rng: np.random.Generator, max_attempts: int = 10
-) -> np.ndarray:
+# Draws gen_lorentzian_training makes before it gives up on full column rank.
+_LORENTZIAN_ATTEMPTS = 10
+
+
+def gen_lorentzian_training(p: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """Random constrained training matrix with i.i.d. uniform tuning phases.
 
     Every entry lies on the circle of radius 1/2 centred at 1j/2.  The draw
-    is rejected and repeated (at most ``max_attempts`` times) until the
+    is rejected and repeated (at most ``_LORENTZIAN_ATTEMPTS`` times) until the
     matrix has full column rank (``full_column_rank``).  The returned array
     is read-only, so its spectrum, taken for that check, stays valid for
     ``training_spectrum``.
@@ -160,14 +165,14 @@ def gen_lorentzian_training(
         raise GenerationError(
             f"cannot reach full column rank with p={p} < n={n}"
         )
-    for _ in range(max_attempts):
+    for _ in range(_LORENTZIAN_ATTEMPTS):
         phi = rng.uniform(0.0, 2.0 * np.pi, size=(p, n))
         f = lorentzian_entry(phi)
         f.flags.writeable = False
         if full_column_rank(f):
             return f
     raise GenerationError(
-        f"no full-column-rank draw in {max_attempts} attempts (p={p}, n={n})"
+        f"no full-column-rank draw in {_LORENTZIAN_ATTEMPTS} attempts (p={p}, n={n})"
     )
 
 

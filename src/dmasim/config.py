@@ -202,20 +202,18 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         raise ConfigError(
             "benchmark receivers require training = semi-unitary-dft"
         )
-    from .channels import _qam_side, gen_inner_physical  # validation only
+    from .channels import gen_inner_physical, qam_alphabet  # validation only
 
+    # The generators own their input rules; a ValueError is a config error.
     try:
-        _qam_side(cfg.qam_order)
+        qam_alphabet(cfg.qam_order)
+        if cfg.inner_model == "physical":
+            with np.errstate(all="ignore"):  # reported below, not by numpy
+                m = gen_inner_physical(cfg.D, cfg.L, cfg.alpha, cfg.beta, cfg.spacing)
+                m_tilde = 1.0 / np.abs(m) ** 2
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.inner_model == "physical":
-        if cfg.spacing <= 0:
-            raise ConfigError("physical inner model requires spacing > 0")
-        if cfg.alpha < 0:
-            raise ConfigError("physical inner model requires alpha >= 0")
-        with np.errstate(all="ignore"):  # reported below, not by numpy
-            m = gen_inner_physical(cfg.D, cfg.L, cfg.alpha, cfg.beta, cfg.spacing)
-            m_tilde = 1.0 / np.abs(m) ** 2
         if not (np.all(np.isfinite(m)) and np.any(m)):
             # No receiver estimates through such a response: every trial fails.
             raise ConfigError(

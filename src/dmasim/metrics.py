@@ -48,15 +48,10 @@ def nmse(est: np.ndarray, truth: np.ndarray) -> float:
     return float(np.linalg.norm(est - truth)) ** 2 / tnorm
 
 
-def ser(
-    s_hat: np.ndarray,
-    s_true: np.ndarray,
-    order: int,
-    anchor_index: int = 0,
-) -> float:
-    """Symbol-error rate after hard demapping, excluding the anchor position
-    (whose symbol the receiver knows by construction); NaN when no other
-    position exists.
+def ser(s_hat: np.ndarray, s_true: np.ndarray, order: int) -> float:
+    """Symbol-error rate after hard demapping, excluding position 0, the
+    anchor (``receiver.remove_ambiguity`` fixes the scale on its known
+    symbol); NaN when no other position exists.
 
     ``s_true`` holds the transmitted symbols, or their indices into
     ``qam_alphabet(order)`` as an integer array, which need no demapping:
@@ -66,11 +61,9 @@ def ser(
     s_true = np.asarray(s_true)
     if s_hat.shape != s_true.shape or s_hat.ndim != 1:
         raise ValueError("ser expects two equal-length symbol vectors")
-    keep = np.ones(s_hat.shape[0], dtype=bool)
-    keep[anchor_index] = False
-    if not np.any(keep):
+    if s_hat.shape[0] < 2:
         return math.nan
-    truth = s_true[keep]
+    truth = s_true[1:]
     if truth.dtype.kind not in "iu":
         truth = qam_demap(truth, order)
-    return float(np.mean(qam_demap(s_hat[keep], order) != truth))
+    return float(np.mean(qam_demap(s_hat[1:], order) != truth))

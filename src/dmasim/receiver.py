@@ -17,14 +17,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .channels import training_spectrum
-from .tensor_ops import (
-    NumericalError,
-    khatri_rao,
-    parafac_build,
-    pinv,
-    unfold_mode1,
-    unfold_mode2,
-)
+from .tensor_ops import khatri_rao, parafac_build, pinv, unfold_mode1, unfold_mode2
 
 
 class EstimationError(RuntimeError):
@@ -301,9 +294,12 @@ def bals(
 
     Raises
     ------
-    EstimationError on non-finite residuals or failed pseudo-inverses.
+    ValueError for ``cfg.max_iters < 1``; EstimationError on non-finite
+    residuals or failed pseudo-inverses.
     """
     cfg = cfg or BalsConfig()
+    if cfg.max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {cfg.max_iters}")
     if y.ndim != 3:
         raise ValueError("bals expects a third-order received block")
     k, t, p = y.shape
@@ -340,7 +336,6 @@ def bals(
     xc = x_hat.conj()
     gx = x_hat.T @ xc
     gx_diag = gx.diagonal().real.tolist()
-    h_hat = np.zeros((k, n), dtype=complex)
     residuals: list[float] = []
     converged = False
     prev, prev_w, prev_h, prev_x = None, 0.0, None, None
@@ -366,7 +361,7 @@ def bals(
             )
             if x_hat is None:
                 x_hat = unfold_mode2(y) @ pinv(khatri_rao(f, h_hat).T, cfg.rcond)
-        except NumericalError as exc:
+        except np.linalg.LinAlgError as exc:
             raise EstimationError(f"pseudo-inverse failed at iteration {it}: {exc}")
         xc = x_hat.conj()
         gx = x_hat.T @ xc
@@ -430,8 +425,8 @@ def remove_ambiguity(
     (diagonal) ambiguity shared between the channel estimate and ``m_hat``
     remains.
     """
-    if s1_ref == 0:
-        raise ValueError("the reference symbol must be nonzero")
+    if not 0.0 < abs(s1_ref) < math.inf:  # NaN fails too
+        raise ValueError("the reference symbol must be nonzero and finite")
     norm_s = float(np.linalg.norm(s_hat))
     if norm_s == 0.0 or abs(s_hat[0]) < 1e-12 * norm_s:
         raise EstimationError(

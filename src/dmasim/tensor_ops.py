@@ -23,10 +23,6 @@ hold exactly (up to floating-point roundoff).
 import numpy as np
 
 
-class NumericalError(RuntimeError):
-    """Raised when a dense linear-algebra kernel fails to converge."""
-
-
 def unfold_mode1(y: np.ndarray) -> np.ndarray:
     """Mode-1 unfolding of a (K, T, P) array into (K, P*T)."""
     if y.ndim != 3:
@@ -51,9 +47,11 @@ def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"column-count mismatch: {a.shape[1]} vs {b.shape[1]}"
         )
+    # The product is written in C order, so the reshape never copies,
+    # whatever the factors' layout.
     i, n = a.shape
     j = b.shape[0]
-    return (a[:, None, :] * b[None, :, :]).reshape(i * j, n)
+    return np.multiply(a[:, None, :], b[None, :, :], order="C").reshape(i * j, n)
 
 
 def parafac_build(h: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -66,21 +64,17 @@ def parafac_build(h: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
             f"{h.shape[1]}, {x.shape[1]}, {f.shape[1]}"
         )
     # khatri_rao(h, x) @ f.T as one fixed contraction; an optimised einsum
-    # would search for a path on every call.  The product is written in C
-    # order, so the reshape never copies, whatever the factors' layout.
-    (k, n), t, p = h.shape, x.shape[0], f.shape[0]
-    kr = np.multiply(h[:, None, :], x[None, :, :], order="C").reshape(k * t, n)
-    return (kr @ f.T).reshape(k, t, p)
+    # would search for a path on every call.
+    return (khatri_rao(h, x) @ f.T).reshape(h.shape[0], x.shape[0], f.shape[0])
 
 
 def pinv(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:
     """``np.linalg.pinv(a, rcond)``: the Moore-Penrose pseudo-inverse with
-    singular values at or below ``rcond * sigma_max`` treated as zero."""
+    singular values at or below ``rcond * sigma_max`` treated as zero.
+    numpy's ``LinAlgError`` passes through when the SVD fails (on NaN
+    entries, for one)."""
     if a.ndim != 2:
         raise ValueError("pinv expects a matrix")
     if a.size == 0:
         raise ValueError("pinv of an empty matrix is undefined here")
-    try:
-        return np.linalg.pinv(a, rcond)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise NumericalError(f"SVD failed in pinv: {exc}") from exc
+    return np.linalg.pinv(a, rcond)

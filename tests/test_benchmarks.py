@@ -74,8 +74,8 @@ def test_closed_form_symbol_update_equals_pseudoinverse_form():
 def test_closed_forms_reject_non_semi_unitary_training():
     h, m, s, f, x = _scene(0)
     m_tilde, h_tilde = oracle_weights(h, m)
-    # Only the shared DFT array itself skips the check: a writable copy
-    # with one entry off by 1e-3 is checked and rejected like any other.
+    # Every training is checked on its spectrum, the shared DFT's included
+    # (remembered): a writable copy with one entry off by 1e-3 is rejected.
     near_dft = np.array(gen_dft_training(8, 5))
     near_dft[3, 2] += 1e-3
     for bad_f in (gen_lorentzian_training(8, 5, np.random.default_rng(0)), near_dft):
@@ -84,6 +84,21 @@ def test_closed_forms_reject_non_semi_unitary_training():
             semi_unitary_h(unfold_mode1(y), bad_f, x, m_tilde)
         with pytest.raises(ValueError, match="not semi-unitary"):
             semi_unitary_x(unfold_mode2(y), bad_f, h, h_tilde)
+
+
+def test_a_writable_copy_of_the_dft_passes_on_its_own_spectrum(monkeypatch):
+    # A writable array is never remembered, so each check reads a fresh
+    # spectrum from channels.training_spectrum, the only place it is taken.
+    real = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or real(a)
+    )
+    dft = np.array(gen_dft_training(8, 5))
+    assert dft.flags.writeable
+    assert benchmarks._check_semi_unitary(dft) == 8
+    assert benchmarks._check_semi_unitary(dft) == 8
+    assert calls == [(5, 5), (5, 5)]
 
 
 def test_weight_validation():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dmasim import campaign
+from dmasim import campaign, channels
 from dmasim.campaign import (
     _COLUMNS,
     CSV_HEADER,
@@ -255,6 +255,21 @@ def test_dft_trial_reuses_the_remembered_training_spectrum(monkeypatch):
 
 
 _DESK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg")
+
+
+def test_desk_closed_form_campaigns_take_the_dft_spectrum_once(monkeypatch):
+    # The semi-unitarity check of every filter call reads the shared DFT's
+    # remembered spectrum, taken once, as the desk-closed-form workload runs.
+    base, _ = load_config_file(_DESK_CFG)
+    monkeypatch.setattr(channels, "_last_spectrum", None)
+    calls = _count_linalg(monkeypatch)
+    for receiver in ("bench-data-aided", "bench-pilot-aided"):
+        cfg = dataclasses.replace(
+            base, receiver=receiver, training="semi-unitary-dft", trials=20
+        )
+        assert sum(row.failed for row in run_campaign(cfg)) == 0
+    assert calls["eigvalsh"] == [(base.N, base.N)]
+    assert channels._last_spectrum[0] is channels.gen_dft_training(base.P, base.N)
 
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")

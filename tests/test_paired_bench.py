@@ -58,3 +58,13 @@ def test_a_lower_is_better_gain_is_met(paired_bench):
     assert paired_bench.claim_verdict(PARENT, change, higher=False).startswith(
         "claim met"
     )
+
+
+@pytest.mark.parametrize("pairs", [1, 3, 9])
+def test_fewer_than_ten_pairs_are_not_met(paired_bench, pairs):
+    # Every pair a clear gain, and the parent's IQR is no wider than at ten.
+    parent = PARENT[:pairs]
+    change = [p + 10.0 for p in parent]
+    verdict = paired_bench.claim_verdict(parent, change, higher=True)
+    assert verdict.startswith(f"claim not met: change better in {pairs}/{pairs} pairs")
+    assert "at least 10" in verdict

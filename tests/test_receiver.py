@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmasim.benchmarks import pilot_aided_m, semi_unitary_x
 from dmasim.channels import (
     gen_dft_training,
+    gen_inner_physical,
     gen_lorentzian_training,
+    gen_pilots,
     gen_qam,
     gen_wireless,
     gen_inner_random_phase,
@@ -107,6 +110,69 @@ def test_bals_iteration_cap_is_respected():
     res = bals(rt.y, f, cfg=BalsConfig(max_iters=3, tol=0.0), rng=np.random.default_rng(8))
     assert len(res.residuals) == 3
     assert not res.converged
+
+
+@pytest.mark.parametrize("max_iters", [0, -1])
+def test_bals_rejects_fewer_than_one_iteration(max_iters):
+    # No iteration would leave no fitted channel to return.
+    h, m, s, f, x = _scene(6)
+    y = build_noiseless(h, x, f).y
+    cfg = BalsConfig(max_iters=max_iters)
+    with pytest.raises(ValueError, match="max_iters"):
+        bals(y, f, cfg=cfg, rng=np.random.default_rng(8))
+    with pytest.raises(ValueError, match="max_iters"):
+        two_stage_estimate(y, f, s[0], cfg=cfg, rng=np.random.default_rng(8))
+
+
+def _with_nan(a, index):
+    a = np.array(a)
+    a[index] = np.nan
+    return a
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        pytest.param(
+            lambda: semi_unitary_x(
+                np.ones((4, 48), complex), _with_nan(gen_dft_training(12, 6), (3, 2)),
+                np.ones((4, 6), complex), np.ones(6),
+            ),
+            ValueError, "not semi-unitary", id="semi_unitary_x-training",
+        ),
+        pytest.param(
+            lambda: pilot_aided_m(
+                np.ones((4, 48), complex), gen_dft_training(12, 6),
+                np.ones((4, 6), complex), np.ones(6), _with_nan(gen_pilots(4), 2),
+            ),
+            ValueError, "squared norm", id="pilot_aided_m-pilots",
+        ),
+        pytest.param(
+            lambda: gen_inner_physical(2, 3, 0.1, 1.0, np.nan),
+            ValueError, "spacing", id="gen_inner_physical-spacing",
+        ),
+        pytest.param(
+            lambda: gen_inner_physical(2, 3, np.nan, 1.0, 0.5),
+            ValueError, "alpha", id="gen_inner_physical-alpha",
+        ),
+        pytest.param(
+            lambda: remove_ambiguity(np.ones(3, complex), np.ones(4, complex), np.nan),
+            ValueError, "reference symbol", id="remove_ambiguity-s1_ref",
+        ),
+        pytest.param(
+            lambda: bals(
+                np.ones((4, 8, 12), complex), _with_nan(gen_dft_training(12, 6), (3, 2)),
+                rng=np.random.default_rng(51),
+            ),
+            EstimationError, "pseudo-inverse failed at iteration 1",
+            id="bals-training",
+        ),
+    ],
+)
+def test_public_entry_points_reject_nan_inputs(call, error, match):
+    # Each returned an all-NaN result (bals: numpy's LinAlgError) before.
+    with np.errstate(invalid="ignore"), pytest.raises(error, match=match):
+        call()
 
 
 def _count_calls(monkeypatch, owner, name):
