@@ -9,6 +9,9 @@ those collapsed forms as the receiver's own half-step right-hand side
 take the training-contracted block ``Y F*`` (``receiver.contract_training``),
 which the composed estimators form once per received block; the public
 closed forms on unfoldings fold their input back and call the same kernels.
+Every estimator here also takes a stack of trials along leading axes, with
+a training shared by all of them or one per trial, and filters the whole
+stack at once.
 
 Oracle side information: the weights ``m_tilde[n] = 1/|m[n]|^2`` and
 ``h_tilde[n] = 1/||H[:, n]||^2`` — and, for the channel estimators, the
@@ -29,7 +32,7 @@ from .signals import build_rank_one
 # No filter here forms a Khatri-Rao product; the name stays bound because
 # the benchmark's tracer (bench/child.py) counts calls to
 # benchmarks.khatri_rao, which read 0.
-from .tensor_ops import khatri_rao, unfold_mode2  # noqa: F401
+from .tensor_ops import khatri_rao, squared_norms, unfold_mode2  # noqa: F401
 
 _SEMI_UNITARY_RTOL = 1e-8
 
@@ -39,9 +42,9 @@ def _check_semi_unitary(f: np.ndarray) -> int:
     ``_SEMI_UNITARY_RTOL``: every eigenvalue of ``F^T F*`` lies within
     ``P * _SEMI_UNITARY_RTOL`` of P.  The spectrum is
     ``channels.training_spectrum``'s, remembered for the shared DFT."""
-    p = f.shape[0]
+    p = f.shape[-2]
     _, low, high = training_spectrum(f)
-    err = max(abs(low - p), abs(high - p)) / p
+    err = np.max(np.maximum(abs(low - p), abs(high - p))) / p
     if not err <= _SEMI_UNITARY_RTOL:  # a NaN spectrum fails too
         raise ValueError(
             f"training matrix is not semi-unitary (relative defect {err:.2e})"
@@ -51,14 +54,15 @@ def _check_semi_unitary(f: np.ndarray) -> int:
 
 def _check_weights(w: np.ndarray, name: str) -> np.ndarray:
     w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(w <= 0):
+    if w.ndim < 1 or not np.isfinite(w).all() or (w <= 0).any():
         raise ValueError(f"{name} must be a vector of positive finite weights")
     return w
 
 
 def _check_pilots(pilots: np.ndarray) -> int:
-    t = pilots.shape[0]
-    if not abs(float(np.linalg.norm(pilots)) ** 2 - t) <= 1e-9 * t:  # NaN fails too
+    t = pilots.shape[-1]
+    energy = np.linalg.norm(pilots, axis=-1) ** 2
+    if not (abs(energy - t) <= 1e-9 * t).all():  # NaN fails too
         raise ValueError("pilot block must have squared norm T")
     return t
 
@@ -67,8 +71,11 @@ def _unfolded_yf(y_unf: np.ndarray, mode: int, f: np.ndarray) -> np.ndarray:
     """``Y F*`` of the (K, T, P) block whose mode-1 (K, P*T) or mode-2
     (T, P*K) unfolding is ``y_unf``: the unfolding is folded back into a
     (K, T, P) view and contracted as ``receiver.bals`` contracts its block."""
-    block = y_unf.reshape(y_unf.shape[0], f.shape[0], -1)  # [row, p, column]
-    y = block.transpose(0, 2, 1) if mode == 1 else block.transpose(2, 0, 1)
+    block = y_unf.reshape(*y_unf.shape[:-1], f.shape[-2], -1)  # [row, p, column]
+    if mode == 1:
+        y = np.swapaxes(block, -1, -2)
+    else:
+        y = np.moveaxis(block, -1, -3)
     return contract_training(y, f)
 
 
@@ -80,8 +87,9 @@ def _channel_filter(
 ) -> np.ndarray:
     p = _check_semi_unitary(f)
     m_tilde = _check_weights(m_tilde, "m_tilde")
-    # s_energy: ||s||^2 of the symbols (or pilots) s in x = outer(s, m)
-    return conj_rhs(yf, x.conj(), 1) * (m_tilde / (p * s_energy))
+    # s_energy: ||s||^2 of the symbols (or pilots) s in x = outer(s, m), per trial
+    weights = m_tilde / (p * np.expand_dims(s_energy, -1))
+    return conj_rhs(yf, x.conj(), 1) * weights[..., None, :]
 
 
 def _symbol_filter(
@@ -90,14 +98,15 @@ def _symbol_filter(
     p = _check_semi_unitary(f)
     h_tilde = _check_weights(h_tilde, "h_tilde")
     # t: the pilot block's squared norm, when its symbols are contracted out
-    return conj_rhs(yf, h.conj(), 2) * (h_tilde / (p * t))
+    return conj_rhs(yf, h.conj(), 2) * (h_tilde / (p * t))[..., None, :]
 
 
-def _symbol_energy(x: np.ndarray, m_tilde: np.ndarray) -> float:
+def _symbol_energy(x: np.ndarray, m_tilde: np.ndarray) -> np.ndarray:
     """``||s||^2`` of the rank-one block ``x = outer(s, m)`` whose inner
     response has the inverse squared moduli ``m_tilde``: column n of x is
-    ``s * m[n]``, so ``||x||_F^2 = ||s||^2 * sum_n |m[n]|^2``."""
-    return float(np.linalg.norm(x)) ** 2 / float(np.sum(1.0 / m_tilde))
+    ``s * m[n]``, so ``||x||_F^2 = ||s||^2 * sum_n |m[n]|^2``; one energy
+    per trial of a stack."""
+    return squared_norms(x, 2) / np.sum(1.0 / m_tilde, axis=-1)
 
 
 def semi_unitary_h(
@@ -149,14 +158,14 @@ def pilot_aided_m(
     filter against the pilot sequence."""
     t = _check_pilots(pilots)
     # Contracting the pilots first leaves a mode-2 unfolding with one row.
-    y2s = (pilots.conj() @ y2)[None, :]
-    return _symbol_filter(_unfolded_yf(y2s, 2, f), f, h, h_tilde, t)[0]
+    y2s = pilots.conj()[..., None, :] @ y2
+    return _symbol_filter(_unfolded_yf(y2s, 2, f), f, h, h_tilde, t)[..., 0, :]
 
 
 def oracle_weights(h: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ground-truth diagonal weights (m_tilde, h_tilde) for the closed forms."""
     m_tilde = 1.0 / np.abs(m) ** 2
-    h_tilde = 1.0 / np.linalg.norm(h, axis=0) ** 2
+    h_tilde = 1.0 / np.linalg.norm(h, axis=-2) ** 2
     return m_tilde, h_tilde
 
 
@@ -195,7 +204,7 @@ def pilot_aided_estimate(
     # pilot_aided_m checks the pilots, whose squared norm is then T.
     m_hat = pilot_aided_m(unfold_mode2(y), f, h_true, h_tilde, pilots)
     x = build_rank_one(pilots, m_true)
-    h_hat = _channel_filter(contract_training(y, f), f, x, m_tilde, len(pilots))
+    h_hat = _channel_filter(contract_training(y, f), f, x, m_tilde, pilots.shape[-1])
     return EstimateReport(h_hat, m_hat, pilots)
 
 

@@ -2,15 +2,25 @@
 
 Each trial runs three stages: ``draw_scene`` draws the ground truth and
 builds its noisy received tensor, ``estimate`` runs the configured receiver
-on it, and ``score`` compares the estimates with the ground truth.
-``run_trial`` chains them and times the estimate stage alone.
+on it, and ``score`` compares the estimates with the ground truth.  The
+stages run on blocks of consecutive trials, as arrays with a leading trial
+axis: many small per-trial array operations become one operation on the
+block.  ``run_trial`` returns one trial's result from the block that holds
+it, computed once (``_trial_block``); the block size follows from the size
+of one received tensor (``_BLOCK_BYTES``), and no result depends on it.
+Each block's estimate stage is timed as a whole and the time shared evenly
+among its trials.
 
 Determinism contract: every trial draws each random quantity (channel,
 inner response, symbols, training, noise, solver init) from exactly the
 stream of ``default_rng([seed, snr_index, trial_index, quantity_tag])``.
 The generators' seed words are computed in blocks of trials by a
 vectorised port of numpy's ``SeedSequence`` hash, checked against numpy
-once per block (``_trial_rng``).  Every trial runs in the calling thread,
+once per block (``_trial_rng``).  Each trial's draws still come from its
+own streams, so a trial's result is the same in a block of any size, and
+an exception in a block (a failed draw or estimate) reruns the block one
+trial at a time, so that only the trials at fault fail.  Every trial runs in
+the calling thread,
 in trial order, and each SNR point is aggregated before the next starts;
 ``threads`` is recorded but has no effect on the run.  Wall-clock runtime
 is the one environment-dependent quantity; with ``timing = false`` the CSV
@@ -121,17 +131,18 @@ class MetricRow:
 
 @dataclass(frozen=True)
 class Scene:
-    """The ground truth of one trial and its noisy received tensor."""
+    """The ground truth of a block of B trials and their noisy received
+    tensors, each array with a leading trial axis."""
 
-    h: np.ndarray  # channel (K, N)
-    m: np.ndarray  # inner response (N,)
-    s: np.ndarray  # symbols, or the pilot block (T,)
+    h: np.ndarray  # channel (B, K, N)
+    m: np.ndarray  # inner response (B, N)
+    s: np.ndarray  # symbols, or the pilot block (B, T)
     s_idx: np.ndarray | None  # the symbols' alphabet indices; None for pilots
-    x: np.ndarray  # symbol block outer(s, m) (T, N)
-    f: np.ndarray  # training (P, N)
-    y: np.ndarray  # received tensor (K, T, P)
+    x: np.ndarray  # symbol block outer(s, m) (B, T, N)
+    f: np.ndarray  # training (B, P, N), or (P, N) when shared by every trial
+    y: np.ndarray  # received tensor (B, K, T, P)
     snr_idx: int
-    trial: int
+    trials: range
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), fixed
@@ -225,45 +236,53 @@ def _trial_rng(seed: int, snr_idx: int, trial: int, tag: int) -> np.random.Gener
 
 
 def draw_scene(
-    cfg: ExperimentConfig, snr_db: float, snr_idx: int, trial: int
+    cfg: ExperimentConfig, snr_db: float, snr_idx: int, trials: range
 ) -> Scene:
-    """Draw one trial's ground truth and build its received tensor at
-    ``snr_db``; the bench-pilot-aided receiver sends the pilot block."""
-    rng = functools.partial(_trial_rng, cfg.seed, snr_idx, trial)
-    h = gen_wireless(cfg.K, cfg.N, rng(_TAG_CHANNEL))
+    """Draw the ground truth of a block of trials and build their received
+    tensors at ``snr_db``; the bench-pilot-aided receiver sends the pilot
+    block.  A single trial is a block of one."""
+    def rngs(tag: int) -> list[np.random.Generator]:
+        return [_trial_rng(cfg.seed, snr_idx, trial, tag) for trial in trials]
+
+    h = gen_wireless(cfg.K, cfg.N, rngs(_TAG_CHANNEL))
     if cfg.inner_model == "physical":
         m = gen_inner_physical(cfg.D, cfg.L, cfg.alpha, cfg.beta, cfg.spacing)
+        m = np.broadcast_to(m, (len(trials), cfg.N))
     else:
-        m = gen_inner_random_phase(cfg.N, rng(_TAG_INNER))
+        m = gen_inner_random_phase(cfg.N, rngs(_TAG_INNER))
     if cfg.receiver == "bench-pilot-aided":
-        s, s_idx = gen_pilots(cfg.T), None
+        s, s_idx = np.broadcast_to(gen_pilots(cfg.T), (len(trials), cfg.T)), None
     else:
-        s_idx = qam_indices(cfg.T, cfg.qam_order, rng(_TAG_SYMBOLS))
+        s_idx = qam_indices(cfg.T, cfg.qam_order, rngs(_TAG_SYMBOLS))
         s = qam_alphabet(cfg.qam_order)[s_idx]
     if cfg.training == "lorentzian":
-        f = gen_lorentzian_training(cfg.P, cfg.N, rng(_TAG_TRAINING))
+        f = gen_lorentzian_training(cfg.P, cfg.N, rngs(_TAG_TRAINING))
     else:
         f = gen_dft_training(cfg.P, cfg.N)
     x = build_rank_one(s, m)
-    y = add_noise(build_noiseless(h, x, f), snr_db, rng(_TAG_NOISE)).y
+    noiseless = build_noiseless(h, x, f)
+    y = add_noise(noiseless, snr_db, rngs(_TAG_NOISE), out=noiseless.y).y
     return Scene(
-        h=h, m=m, s=s, s_idx=s_idx, x=x, f=f, y=y, snr_idx=snr_idx, trial=trial
+        h=h, m=m, s=s, s_idx=s_idx, x=x, f=f, y=y, snr_idx=snr_idx, trials=trials
     )
 
 
 def estimate(cfg: ExperimentConfig, scene: Scene) -> EstimateReport:
-    """Run the configured receiver on the scene's received tensor.  The
+    """Run the configured receiver on the scene's received tensors.  The
     closed-form references read their oracle inputs from the scene."""
     if cfg.receiver == "proposed":
         return two_stage_estimate(
-            scene.y, scene.f, s1_ref=scene.s[0],
+            scene.y, scene.f, s1_ref=scene.s[:, 0],
             cfg=BalsConfig(max_iters=cfg.max_iters, tol=cfg.tol, rcond=cfg.rcond),
-            rng=_trial_rng(cfg.seed, scene.snr_idx, scene.trial, _TAG_INIT),
+            rng=[
+                _trial_rng(cfg.seed, scene.snr_idx, trial, _TAG_INIT)
+                for trial in scene.trials
+            ],
         )
     if cfg.receiver == "bench-data-aided":
         return data_aided_estimate(
             scene.y, scene.f, x_true=scene.x, h_true=scene.h, m_true=scene.m,
-            s1_ref=scene.s[0],
+            s1_ref=scene.s[:, 0],
         )
     return pilot_aided_estimate(
         scene.y, scene.f, h_true=scene.h, m_true=scene.m, pilots=scene.s
@@ -272,46 +291,85 @@ def estimate(cfg: ExperimentConfig, scene: Scene) -> EstimateReport:
 
 def score(
     cfg: ExperimentConfig, scene: Scene, report: EstimateReport, runtime_s: float
-) -> TrialResult:
-    """Score the estimates against the scene's ground truth under the
-    shared-diagonal protocol: one per-column scaling, fitted on the channel
-    estimate, applied consistently to both coupled estimates."""
+) -> list[TrialResult]:
+    """Score each trial's estimates against the scene's ground truth under
+    the shared-diagonal protocol: one per-column scaling, fitted on the
+    channel estimate, applied consistently to both coupled estimates."""
     delta = diagonal_fit(report.h_hat, scene.h)
     # Near -3000 dB, m_hat / delta nears 1e300 and its NMSE overflows to inf.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        nmse_h = nmse(report.h_hat * delta, scene.h)
+        nmse_h = nmse(report.h_hat * delta[:, None, :], scene.h, ndim=2)
         m_corr = np.where(delta != 0, report.m_hat / delta, np.inf)
-        nmse_m = nmse(m_corr, scene.m)
-    if not (np.isfinite(nmse_h) and np.isfinite(nmse_m)):
-        return TrialResult(failed="DegenerateMetricFit")
-    trial_ser = (
-        math.nan
-        if scene.s_idx is None
-        else ser(report.s_hat, scene.s_idx, cfg.qam_order)
+        nmse_m = nmse(m_corr, scene.m, ndim=1)
+    block = len(scene.trials)
+    if scene.s_idx is None:
+        trial_ser = np.full(block, math.nan)
+    else:
+        trial_ser = ser(report.s_hat, scene.s_idx, cfg.qam_order)
+    columns = zip(
+        nmse_h.tolist(), nmse_m.tolist(), trial_ser.tolist(),
+        np.broadcast_to(report.iterations, block).tolist(),
+        np.broadcast_to(report.converged, block).tolist(),
     )
-    return TrialResult(
-        nmse_h=nmse_h,
-        nmse_m=nmse_m,
-        ser=trial_ser,
-        iterations=report.iterations,
-        runtime_s=runtime_s,
-        converged=report.converged,
-    )
+    return [
+        TrialResult(
+            nmse_h=h, nmse_m=m, ser=s, iterations=iterations,
+            runtime_s=runtime_s, converged=converged,
+        )
+        if math.isfinite(h) and math.isfinite(m)
+        else TrialResult(failed="DegenerateMetricFit")
+        for h, m, s, iterations, converged in columns
+    ]
+
+
+# Received-tensor bytes a block of trials holds at once (a complex entry is
+# 16 bytes): six trials at the desk geometry, one at the scaled geometry.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _block_size(cfg: ExperimentConfig) -> int:
+    return max(1, _BLOCK_BYTES // (16 * cfg.K * cfg.T * cfg.P))
+
+
+def _run_block(
+    cfg: ExperimentConfig, snr_db: float, snr_idx: int, trials: range
+) -> list[TrialResult]:
+    """Draw, estimate and score a block of trials; a block that raises runs
+    again one trial at a time, so only the trials at fault fail."""
+    try:
+        scene = draw_scene(cfg, snr_db, snr_idx, trials)
+        t0 = time.perf_counter()
+        report = estimate(cfg, scene)
+        runtime_s = (time.perf_counter() - t0) / len(trials)
+    except (GenerationError, EstimationError) as exc:
+        if len(trials) == 1:
+            return [TrialResult(failed=type(exc).__name__)]
+        return [
+            result
+            for trial in trials
+            for result in _run_block(cfg, snr_db, snr_idx, range(trial, trial + 1))
+        ]
+    return score(cfg, scene, report, runtime_s)
+
+
+@functools.lru_cache(maxsize=1)
+def _trial_block(
+    cfg: ExperimentConfig, snr_db: float, snr_idx: int, start: int, stop: int
+) -> tuple[TrialResult, ...]:
+    """The results of trials ``start`` to ``stop``; the last block is kept."""
+    return tuple(_run_block(cfg, snr_db, snr_idx, range(start, stop)))
 
 
 def run_trial(
     cfg: ExperimentConfig, snr_db: float, snr_idx: int, trial: int
 ) -> TrialResult:
-    """One Monte Carlo trial: draw the scene, estimate, score.  The runtime
-    is the wall-clock time of the estimate stage alone."""
-    try:
-        scene = draw_scene(cfg, snr_db, snr_idx, trial)
-        t0 = time.perf_counter()
-        report = estimate(cfg, scene)
-        runtime_s = time.perf_counter() - t0
-    except (GenerationError, EstimationError) as exc:
-        return TrialResult(failed=type(exc).__name__)
-    return score(cfg, scene, report, runtime_s)
+    """One Monte Carlo trial: draw the scene, estimate, score, as part of
+    the block of trials that holds it.  The runtime is the block's
+    estimate-stage wall-clock time, shared evenly among its trials."""
+    size = _block_size(cfg)
+    start = trial - trial % size
+    stop = max(min(start + size, cfg.trials), trial + 1)
+    return _trial_block(cfg, snr_db, snr_idx, start, stop)[trial - start]
 
 
 def _aggregate(snr_db: float, trials: list[TrialResult]) -> MetricRow:
@@ -355,8 +413,10 @@ def run_campaign(
 ) -> list[MetricRow]:
     """Run the campaign in the calling thread, one SNR point at a time and
     each point's trials in order; optionally write results.csv and
-    summary.json into ``out_dir``.  Returns one MetricRow per SNR point."""
+    summary.json into ``out_dir``.  Returns one MetricRow per SNR point.
+    No trial result is kept from an earlier campaign."""
     validate_config(cfg)
+    _trial_block.cache_clear()
     rows = []
     for si, snr in enumerate(snr_grid(cfg)):
         trials = [run_trial(cfg, snr, si, trial) for trial in range(cfg.trials)]

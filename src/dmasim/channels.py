@@ -2,7 +2,11 @@
 response, training matrices, and transmitted symbol blocks.
 
 All generators are pure functions of an explicit ``numpy.random.Generator``
-so a campaign can reproduce any single draw from its seed.
+so a campaign can reproduce any single draw from its seed.  Each random
+generator also takes a sequence of generators, one per trial, and stacks
+their draws along a new leading trial axis; every trial's values are then
+those its own stream gives alone, and the arithmetic after the draws runs
+once on the stack.
 """
 
 import functools
@@ -15,21 +19,37 @@ class GenerationError(RuntimeError):
     """Raised when a random generator cannot produce a valid draw."""
 
 
-def gen_wireless(k: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def _each_trial(rng, shape: tuple, fill, dtype=float) -> np.ndarray:
+    """An array of ``shape`` that ``fill(rng, out)`` fills from the
+    generator ``rng``; for a sequence of generators, one per trial, one such
+    array per trial along a new leading axis, each filled from its own
+    stream in place."""
+    gens = [rng] if isinstance(rng, np.random.Generator) else rng
+    out = np.empty((len(gens), *shape), dtype)
+    for gen, trial in zip(gens, out):
+        fill(gen, trial)
+    return out if gens is rng else out[0]
+
+
+def _phases(gen: np.random.Generator, out: np.ndarray) -> None:
+    out[...] = gen.uniform(0.0, 2.0 * np.pi, size=out.shape)
+
+
+def gen_wireless(k: int, n: int, rng) -> np.ndarray:
     """I.i.d. circularly-symmetric unit-variance complex Gaussian (k, n)."""
     if k < 1 or n < 1:
         raise ValueError("channel dimensions must be positive")
-    re = rng.standard_normal((k, n))
-    im = rng.standard_normal((k, n))
-    return (re + 1j * im) / math.sqrt(2.0)
+    # The real parts, then the imaginary parts, from one stream.
+    parts = _each_trial(rng, (2, k, n), lambda gen, out: gen.standard_normal(out=out))
+    return (parts[..., 0, :, :] + 1j * parts[..., 1, :, :]) / math.sqrt(2.0)
 
 
-def gen_inner_random_phase(n: int, rng: np.random.Generator) -> np.ndarray:
+def gen_inner_random_phase(n: int, rng) -> np.ndarray:
     """Unit-modulus inner response (the antenna's internal feed, one entry
     per radiating element) with i.i.d. uniform phases."""
     if n < 1:
         raise ValueError("n must be positive")
-    theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    theta = _each_trial(rng, (n,), _phases)
     return np.exp(1j * theta)
 
 
@@ -70,11 +90,12 @@ def lorentzian_entry(phi: np.ndarray | float) -> np.ndarray | complex:
 _last_spectrum = None
 
 
-def training_spectrum(f: np.ndarray) -> tuple[np.ndarray, float, float]:
+def training_spectrum(f: np.ndarray) -> tuple:
     """``(gram, low, high)``: the read-only Gram ``F^T F*`` and its extreme
     eigenvalues, as ``eigvalsh`` computes them; both are NaN when the Gram
     has a non-finite entry.  This is the one place the package forms the
-    Gram of a training and takes its spectrum.
+    Gram of a training and takes its spectrum.  For a (..., P, N) stack of
+    trainings, one per trial, the Grams and eigenvalues are stacked too.
 
     The last read-only array that owns its data (every drawn training does)
     is remembered by identity: asking again for the same array returns the
@@ -85,14 +106,16 @@ def training_spectrum(f: np.ndarray) -> tuple[np.ndarray, float, float]:
     frozen = not f.flags.writeable and f.base is None
     if frozen and _last_spectrum is not None and _last_spectrum[0] is f:
         return _last_spectrum[1]
-    gram = f.T @ f.conj()
-    if np.isfinite(gram).all():
+    gram = np.swapaxes(f, -1, -2) @ f.conj()
+    finite = np.isfinite(gram).all(axis=(-2, -1))
+    if finite.all():
         eigs = np.linalg.eigvalsh(gram)
-        low, high = float(eigs[0]), float(eigs[-1])
     else:  # eigvalsh raises on some of these and returns NaN on others
-        low = high = math.nan
+        eigs = np.full(gram.shape[:-1], math.nan)
+        if finite.any():
+            eigs[finite] = np.linalg.eigvalsh(gram[finite])
     gram.flags.writeable = False
-    spectrum = gram, low, high
+    spectrum = gram, eigs[..., 0], eigs[..., -1]
     if frozen:
         _last_spectrum = (f, spectrum)
     return spectrum
@@ -105,10 +128,10 @@ _RANK_MARGIN = 1e4
 _RANK_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
-def full_column_rank(f: np.ndarray) -> bool:
+def full_column_rank(f: np.ndarray):
     """``np.linalg.matrix_rank(f) == n`` for a (P, N) matrix, decided from the
     eigenvalues of ``F^T F*`` (``training_spectrum``) when they certify it,
-    else by ``matrix_rank`` itself.
+    else by ``matrix_rank`` itself; a bool array for a (..., P, N) stack.
 
     ``matrix_rank`` reports full rank when the computed singular values
     satisfy ``s_min > s_max * max(P, N) * eps``.  With u = eps / 2:
@@ -136,28 +159,31 @@ def full_column_rank(f: np.ndarray) -> bool:
     Gram), a non-positive or a too-small ``low`` declines, and
     ``matrix_rank`` decides (or raises) exactly as it would alone.
     """
-    p, n = f.shape
+    p, n = f.shape[-2:]
     eps = np.finfo(float).eps
     kappa = 2.0 * (p + 2) * n * eps
     tau = 2.0 * max(p, n) * eps
     _, low, high = training_spectrum(f)
-    if low >= _RANK_FLOOR and _RANK_MARGIN * (kappa + tau * tau) * high <= low:
-        return True
-    return bool(np.linalg.matrix_rank(f) == n)
+    bound = _RANK_MARGIN * (kappa + tau * tau)
+    full = np.array((low >= _RANK_FLOOR) & (bound * high <= low))
+    for i in np.flatnonzero(~full):  # the certificate declined
+        full.reshape(-1)[i] = np.linalg.matrix_rank(f.reshape(-1, p, n)[i]) == n
+    return full.item() if full.ndim == 0 else full
 
 
 # Draws gen_lorentzian_training makes before it gives up on full column rank.
 _LORENTZIAN_ATTEMPTS = 10
 
 
-def gen_lorentzian_training(p: int, n: int, rng: np.random.Generator) -> np.ndarray:
+def gen_lorentzian_training(p: int, n: int, rng) -> np.ndarray:
     """Random constrained training matrix with i.i.d. uniform tuning phases.
 
     Every entry lies on the circle of radius 1/2 centred at 1j/2.  The draw
     is rejected and repeated (at most ``_LORENTZIAN_ATTEMPTS`` times) until the
-    matrix has full column rank (``full_column_rank``).  The returned array
-    is read-only, so its spectrum, taken for that check, stays valid for
-    ``training_spectrum``.
+    matrix has full column rank (``full_column_rank``); in a stack only the
+    rejected trials draw again, each from its own stream.  The returned
+    array is read-only, so its spectrum, taken for that check, stays valid
+    for ``training_spectrum``.
     """
     if p < 1 or n < 1:
         raise ValueError("p and n must be positive")
@@ -165,12 +191,16 @@ def gen_lorentzian_training(p: int, n: int, rng: np.random.Generator) -> np.ndar
         raise GenerationError(
             f"cannot reach full column rank with p={p} < n={n}"
         )
+    gens = [rng] if isinstance(rng, np.random.Generator) else rng
+    phi = _each_trial(rng, (p, n), _phases)
     for _ in range(_LORENTZIAN_ATTEMPTS):
-        phi = rng.uniform(0.0, 2.0 * np.pi, size=(p, n))
         f = lorentzian_entry(phi)
         f.flags.writeable = False
-        if full_column_rank(f):
+        rejected = np.flatnonzero(~np.asarray(full_column_rank(f)))
+        if rejected.size == 0:
             return f
+        for i in rejected:
+            _phases(gens[i], phi.reshape(-1, p, n)[i])
     raise GenerationError(
         f"no full-column-rank draw in {_LORENTZIAN_ATTEMPTS} attempts (p={p}, n={n})"
     )
@@ -226,15 +256,19 @@ def qam_alphabet(order: int) -> np.ndarray:
     return alphabet
 
 
-def qam_indices(t: int, order: int, rng: np.random.Generator) -> np.ndarray:
+def qam_indices(t: int, order: int, rng) -> np.ndarray:
     """Draw t i.i.d. uniform indices into ``qam_alphabet(order)``."""
     if t < 1:
         raise ValueError("t must be positive")
     _qam_side(order)
-    return rng.integers(0, order, size=t)
+
+    def fill(gen, out):
+        out[...] = gen.integers(0, order, size=t)
+
+    return _each_trial(rng, (t,), fill, dtype=np.int64)
 
 
-def gen_qam(t: int, order: int, rng: np.random.Generator) -> np.ndarray:
+def gen_qam(t: int, order: int, rng) -> np.ndarray:
     """Draw t i.i.d. uniform symbols from the unit-energy QAM alphabet: the
     points of ``qam_indices(t, order, rng)``."""
     return qam_alphabet(order)[qam_indices(t, order, rng)]

@@ -190,8 +190,10 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
             raise ConfigError(f"{name} must be finite, got {getattr(cfg, name)}")
     if not (cfg.tol > 0.0):
         raise ConfigError("tol must be positive")
-    if not (cfg.rcond > 0.0):
-        raise ConfigError("rcond must be positive")
+    if not 0.0 < cfg.rcond < 1.0:
+        # pinv drops every singular value at or below rcond * sigma_max; from
+        # 1 on that is all of them, and a fallback half-step returns zeros.
+        raise ConfigError("rcond must lie between 0 and 1, exclusive")
     if cfg.receiver not in RECEIVERS:
         raise ConfigError(f"receiver must be one of {RECEIVERS}")
     if cfg.training not in TRAININGS:

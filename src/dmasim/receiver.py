@@ -5,7 +5,9 @@ Stage one fits the bilinear model ``Y1 = H @ khatri_rao(F, X).T`` /
 training matrix F known.  Stage two splits the fitted symbol block into a
 symbol vector and an inner-response vector through its dominant singular
 triplet, and a single known reference symbol removes the residual scalar
-ambiguity.
+ambiguity.  Stage two, and the receiver as a whole, also take a stack of
+trials along leading axes: each trial's alternating-LS fit runs alone,
+and stage two runs once on the stacked fits.
 """
 
 import math
@@ -91,15 +93,18 @@ class Rank1Split(NamedTuple):
 @dataclass(frozen=True)
 class EstimateReport:
     """A receiver's estimates and what its solver did.  The defaults
-    describe a one-shot estimate: one pass, no residual trace, no split."""
+    describe a one-shot estimate: one pass, no residual trace, no split.
+    For a stack of trials the estimates, and any per-trial count or flag,
+    carry the leading trial axes; the residual trace is then a tuple of
+    per-trial traces."""
 
     h_hat: np.ndarray
     m_hat: np.ndarray
     s_hat: np.ndarray
-    iterations: int = 1
-    residual_trace: np.ndarray = field(default_factory=lambda: np.empty(0))
-    converged: bool = True
-    rank1_degenerate: bool = False
+    iterations: int | np.ndarray = 1
+    residual_trace: np.ndarray | tuple = field(default_factory=lambda: np.empty(0))
+    converged: bool | np.ndarray = True
+    rank1_degenerate: bool | np.ndarray = False
 
 
 def _schur_certified(
@@ -153,9 +158,9 @@ def _normal_solve(
 
 def contract_training(y: np.ndarray, f: np.ndarray) -> np.ndarray:
     """The training-contracted block ``yf = Y F*`` of shape (K, T, N) from a
-    (K, T, P) block: one (K*T, P) @ (P, N) product."""
-    k, t, p = y.shape
-    return (y.reshape(k * t, p) @ f.conj()).reshape(k, t, -1)
+    (K, T, P) block: one (K*T, P) @ (P, N) product per trial."""
+    *lead, k, t, p = y.shape
+    return (y.reshape(*lead, k * t, p) @ f.conj()).reshape(*lead, k, t, -1)
 
 
 def conj_rhs(yf: np.ndarray, factor_conj: np.ndarray, mode: int) -> np.ndarray:
@@ -168,7 +173,7 @@ def conj_rhs(yf: np.ndarray, factor_conj: np.ndarray, mode: int) -> np.ndarray:
     factor; mode 2 (the symbol-block update) contracts the subcarrier axis
     with the (K, N) factor.
     """
-    spec = "ktn,tn->kn" if mode == 1 else "ktn,kn->tn"
+    spec = "...ktn,...tn->...kn" if mode == 1 else "...ktn,...kn->...tn"
     return np.einsum(spec, yf, factor_conj)
 
 
@@ -266,6 +271,7 @@ def bals(
     f: np.ndarray,
     cfg: BalsConfig | None = None,
     rng: np.random.Generator | None = None,
+    spectrum: tuple | None = None,
 ) -> BalsResult:
     """Alternating least-squares fit of (H, X) given the received block and F.
 
@@ -285,6 +291,7 @@ def bals(
     cfg : solver knobs; defaults to ``BalsConfig()``.
     rng : source for the random symbol-block initialisation; required unless
         ``cfg.init`` is given.
+    spectrum : ``training_spectrum(f)``, when the caller already has it.
 
     Returns
     -------
@@ -326,8 +333,9 @@ def bals(
     # training enters each iteration only through these two per-trial terms.
     # The smallest eigenvalue of F^T F* feeds the Schur bound that lets most
     # half-steps skip the Cholesky guard (see _SCHUR_PIVOT_MARGIN).  A drawn
-    # training's spectrum is remembered from its rank check.
-    gf, gf_min, _ = training_spectrum(f)
+    # training's spectrum comes from its rank check.
+    gf, gf_min, _ = spectrum or training_spectrum(f)
+    gf_min = float(gf_min)
     yf = contract_training(y, f)
     gamma = _residual_gamma(k, t, p, n)
     # Each factor is conjugated once, for its Gram and the right-hand side;
@@ -393,50 +401,61 @@ def bals(
     )
 
 
+def _per_trial(values: np.ndarray):
+    """A Python scalar for one trial's count or flag; a stack's array as is."""
+    return values.item() if values.ndim == 0 else values
+
+
 def rank1_factorize(x_hat: np.ndarray) -> Rank1Split:
     """Split the fitted block into (s_hat, m_hat) via its dominant singular
-    triplet, with the singular value shared evenly between the two vectors.
+    triplet, with the singular value shared evenly between the two vectors;
+    a (..., T, N) stack is split trial by trial in one stacked SVD.
 
     ``degenerate`` flags a (near-)tied leading singular pair, in which case
     the returned split is valid but not uniquely determined.
     """
-    if x_hat.ndim != 2 or x_hat.size == 0:
+    if x_hat.ndim < 2 or x_hat.size == 0:
         raise ValueError("rank1_factorize expects a nonempty matrix")
-    if not np.any(x_hat):
+    if not x_hat.any(axis=(-2, -1)).all():
         raise EstimationError("cannot split an all-zero block")
     try:
         u, sv, vh = np.linalg.svd(x_hat, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EstimationError(f"SVD failed in rank1_factorize: {exc}") from exc
-    root = np.sqrt(sv[0])
-    s_hat = root * u[:, 0]
-    m_hat = root * vh[0]  # row of vh is v^H, so this is sqrt(sigma) * conj(v)
-    degenerate = sv.size > 1 and (sv[0] - sv[1]) <= 1e-9 * sv[0]
-    return Rank1Split(s_hat=s_hat, m_hat=m_hat, degenerate=bool(degenerate))
+    root = np.sqrt(sv[..., :1])
+    s_hat = root * u[..., :, 0]
+    m_hat = root * vh[..., 0, :]  # row of vh is v^H: sqrt(sigma) * conj(v)
+    if sv.shape[-1] > 1:
+        degenerate = np.asarray(sv[..., 0] - sv[..., 1] <= 1e-9 * sv[..., 0])
+    else:
+        degenerate = np.zeros(sv.shape[:-1], dtype=bool)
+    return Rank1Split(s_hat=s_hat, m_hat=m_hat, degenerate=_per_trial(degenerate))
 
 
 def remove_ambiguity(
-    s_hat: np.ndarray, m_hat: np.ndarray, s1_ref: complex
+    s_hat: np.ndarray, m_hat: np.ndarray, s1_ref
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fix the scalar split ambiguity with one known reference symbol.
 
     Scales ``s_hat`` so its first entry equals ``s1_ref`` and counter-scales
-    ``m_hat``, leaving their outer product unchanged.  The per-column
-    (diagonal) ambiguity shared between the channel estimate and ``m_hat``
-    remains.
+    ``m_hat``, leaving their outer product unchanged; (..., T) and (..., N)
+    stacks take one reference per trial.  The per-column (diagonal)
+    ambiguity shared between the channel estimate and ``m_hat`` remains.
     """
-    if not 0.0 < abs(s1_ref) < math.inf:  # NaN fails too
+    ref = np.abs(s1_ref)
+    if not np.all((0.0 < ref) & (ref < math.inf)):  # NaN fails too
         raise ValueError("the reference symbol must be nonzero and finite")
-    norm_s = float(np.linalg.norm(s_hat))
-    if norm_s == 0.0 or abs(s_hat[0]) < 1e-12 * norm_s:
+    norm_s = np.linalg.norm(s_hat, axis=-1)
+    first = s_hat[..., 0]
+    if np.any((norm_s == 0.0) | (np.abs(first) < 1e-12 * norm_s)):
         raise EstimationError(
             "ambiguity unresolvable: estimated reference symbol is ~0"
         )
-    lam = s1_ref / s_hat[0]
+    lam = (s1_ref / first)[..., None]
     return lam * s_hat, m_hat / lam
 
 
-def split_and_anchor(x_hat: np.ndarray, s1_ref: complex) -> Rank1Split:
+def split_and_anchor(x_hat: np.ndarray, s1_ref) -> Rank1Split:
     """Stage two: split the fitted symbol block into (s, m) and anchor the
     scale on the known reference symbol; ``degenerate`` flags a
     (near-)tied leading singular pair."""
@@ -449,20 +468,39 @@ def split_and_anchor(x_hat: np.ndarray, s1_ref: complex) -> Rank1Split:
 def two_stage_estimate(
     y: np.ndarray,
     f: np.ndarray,
-    s1_ref: complex,
+    s1_ref,
     cfg: BalsConfig | None = None,
-    rng: np.random.Generator | None = None,
+    rng=None,
 ) -> EstimateReport:
-    """Full receiver: alternating-LS stage, rank-one split, ambiguity fix."""
-    res = bals(y, f, cfg=cfg, rng=rng)
-    split = split_and_anchor(res.x_hat, s1_ref)
+    """Full receiver: alternating-LS stage, rank-one split, ambiguity fix.
+
+    A (..., K, T, P) stack of received blocks takes a training shared by
+    all trials or one per trial (..., P, N), one reference symbol per trial
+    and a sequence of generators, one per trial.  Each trial's
+    alternating-LS stage runs alone, on its own slice of the training's
+    spectrum; stage two runs once on the stack.
+    """
+    *lead, k, t, _ = y.shape
+    spectrum = training_spectrum(f)
+    trials = list(np.ndindex(*lead))
+    gens = rng if lead and rng is not None else [rng] * len(trials)
+    fits = []
+    for i, gen in zip(trials, gens):
+        j = () if f.ndim == 2 else i  # a shared training, or this trial's
+        fits.append(bals(
+            y[i], f[j], cfg=cfg, rng=gen, spectrum=[part[j] for part in spectrum]
+        ))
+    split = split_and_anchor(
+        np.stack([fit.x_hat for fit in fits]).reshape(*lead, t, -1), s1_ref
+    )
+    traces = tuple(fit.residuals for fit in fits)
     return EstimateReport(
-        h_hat=res.h_hat,
+        h_hat=np.stack([fit.h_hat for fit in fits]).reshape(*lead, k, -1),
         m_hat=split.m_hat,
         s_hat=split.s_hat,
-        iterations=len(res.residuals),
-        residual_trace=res.residuals,
-        converged=res.converged,
+        iterations=_per_trial(np.reshape([len(trace) for trace in traces], lead)),
+        residual_trace=traces if lead else traces[0],
+        converged=_per_trial(np.reshape([fit.converged for fit in fits], lead)),
         rank1_degenerate=split.degenerate,
     )
 

@@ -5,20 +5,21 @@ The noiseless received block is the three-way array with frontal slices
 symbol/inner-response block and ``f_p`` is row p of the training matrix.
 Equivalently ``y[k, t, p] = sum_n h[k, n] * x[t, n] * f[p, n]``; the
 stored ``H`` is, by convention, exactly the matrix appearing in that sum
-(any conjugation bookkeeping is absorbed into its definition).
+(any conjugation bookkeeping is absorbed into its definition).  Leading
+axes of the factors index trials, and the blocks stack along them.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor_ops import parafac_build
+from .tensor_ops import parafac_build, squared_norms
 
 
 @dataclass(frozen=True)
 class ReceivedTensor:
     y: np.ndarray
-    noise_variance: float  # 0.0 for a noiseless block
+    noise_variance: float | np.ndarray  # 0.0 for a noiseless block; per trial
 
 
 @dataclass(frozen=True)
@@ -33,48 +34,61 @@ class IdentifiabilityReport:
 
 
 def build_rank_one(s: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Rank-one block outer(s, m), shape (T, N)."""
+    """Rank-one block outer(s, m), shape (T, N); a (..., T) stack of symbol
+    vectors and a (..., N) stack of inner responses give (..., T, N)."""
     s = np.asarray(s)
     m = np.asarray(m)
-    if s.ndim != 1 or m.ndim != 1:
-        raise ValueError("build_rank_one expects two vectors")
-    return np.outer(s, m)
+    if s.ndim < 1 or s.shape[:-1] != m.shape[:-1]:
+        raise ValueError("build_rank_one expects two vectors per trial")
+    return s[..., :, None] * m[..., None, :]
 
 
 def build_noiseless(h: np.ndarray, x: np.ndarray, f: np.ndarray) -> ReceivedTensor:
     """Noiseless received block from channel (K,N), symbol block (T,N) and
-    training (P,N)."""
+    training (P,N); each may carry leading trial axes."""
     y = parafac_build(h, x, f)
     return ReceivedTensor(y=y, noise_variance=0.0)
 
 
 def add_noise(
-    rt: ReceivedTensor, snr_db: float | None, rng: np.random.Generator
+    rt: ReceivedTensor, snr_db: float | None, rng, out: np.ndarray | None = None
 ) -> ReceivedTensor:
     """Add white circular Gaussian noise calibrated to the requested SNR.
 
     The per-entry noise variance is ``||Y||_F^2 / (K*T*P * 10**(snr_db/10))``,
     i.e. SNR is defined against the average signal power per tensor entry.
     ``snr_db=None`` or ``+inf`` returns the block unchanged; NaN and ``-inf``
-    are rejected.
+    are rejected.  A (..., K, T, P) stack of blocks takes a sequence of
+    generators, one per trial, and gets a variance per trial.  The noisy
+    block is written into ``out`` when given, which may be ``rt.y`` itself;
+    else into a new array.
     """
-    if rt.noise_variance != 0.0:
+    if np.any(rt.noise_variance != 0.0):
         raise ValueError("add_noise expects a noiseless block")
     if snr_db is None or snr_db == np.inf:
         return rt
     if not np.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, +inf or None, got {snr_db}")
     y = rt.y
-    sig = float(np.linalg.norm(y)) ** 2
-    var = sig / (y.size * 10.0 ** (snr_db / 10.0))
-    # One complex buffer, real parts drawn first, scaled and added in place:
-    # bit for bit ``y + scale * (re + 1j * im)``.
-    noisy = np.empty(y.shape, dtype=complex)
-    noisy.real = rng.standard_normal(y.shape)
-    noisy.imag = rng.standard_normal(y.shape)
-    noisy *= np.sqrt(var / 2.0)
-    noisy += y
-    return ReceivedTensor(y=noisy, noise_variance=var)
+    *lead, k, t, p = y.shape
+    var = squared_norms(y, 3) / (k * t * p * 10.0 ** (snr_db / 10.0))
+    if out is None:
+        out = y.copy()
+    elif out is not y:
+        out[...] = y
+    gens = [rng] if isinstance(rng, np.random.Generator) else rng
+    # Each trial's real parts, then its imaginary parts, from its own
+    # stream, through two buffers reused trial by trial, added into ``out``
+    # in place: ``y + scale * (re + 1j * im)`` bit for bit, since addition
+    # commutes.  Writing into ``rt.y`` keeps a block's memory to one tensor.
+    part = np.empty((k, t, p))
+    noise = np.empty((k, t, p), dtype=complex)
+    for i, gen, scale in zip(np.ndindex(*lead), gens, np.sqrt(var / 2.0).flat):
+        noise.real = gen.standard_normal(out=part)
+        noise.imag = gen.standard_normal(out=part)
+        noise *= scale
+        out[i] += noise
+    return ReceivedTensor(y=out, noise_variance=var[()])
 
 
 def identifiability_preflight(k: int, t: int, p: int, n: int) -> IdentifiabilityReport:

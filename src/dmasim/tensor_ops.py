@@ -17,7 +17,9 @@ With these choices, for ``y = parafac_build(h, x, f)``::
     unfold_mode1(y) == h @ khatri_rao(f, x).T        # shape (K, P*T)
     unfold_mode2(y) == x @ khatri_rao(f, h).T        # shape (T, P*K)
 
-hold exactly (up to floating-point roundoff).
+hold exactly (up to floating-point roundoff).  Leading axes beyond these
+index trials: every function here maps a stack of trials' arrays to the
+stack of its per-trial results.
 """
 
 import numpy as np
@@ -25,47 +27,67 @@ import numpy as np
 
 def unfold_mode1(y: np.ndarray) -> np.ndarray:
     """Mode-1 unfolding of a (K, T, P) array into (K, P*T)."""
-    if y.ndim != 3:
+    if y.ndim < 3:
         raise ValueError(f"expected a third-order array, got ndim={y.ndim}")
-    k, t, p = y.shape
-    return y.transpose(0, 2, 1).reshape(k, p * t)
+    *lead, k, t, p = y.shape
+    return np.swapaxes(y, -1, -2).reshape(*lead, k, p * t)
 
 
 def unfold_mode2(y: np.ndarray) -> np.ndarray:
     """Mode-2 unfolding of a (K, T, P) array into (T, P*K)."""
-    if y.ndim != 3:
+    if y.ndim < 3:
         raise ValueError(f"expected a third-order array, got ndim={y.ndim}")
-    k, t, p = y.shape
-    return y.transpose(1, 2, 0).reshape(t, p * k)
+    *lead, k, t, p = y.shape
+    return np.moveaxis(y, -3, -1).reshape(*lead, t, p * k)
 
 
 def khatri_rao(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Columnwise Kronecker product of (I, N) and (J, N) into (I*J, N)."""
-    if a.ndim != 2 or b.ndim != 2:
+    if a.ndim < 2 or b.ndim < 2:
         raise ValueError("khatri_rao expects two matrices")
-    if a.shape[1] != b.shape[1]:
+    if a.shape[-1] != b.shape[-1]:
         raise ValueError(
-            f"column-count mismatch: {a.shape[1]} vs {b.shape[1]}"
+            f"column-count mismatch: {a.shape[-1]} vs {b.shape[-1]}"
         )
     # The product is written in C order, so the reshape never copies,
     # whatever the factors' layout.
-    i, n = a.shape
-    j = b.shape[0]
-    return np.multiply(a[:, None, :], b[None, :, :], order="C").reshape(i * j, n)
+    out = np.multiply(a[..., :, None, :], b[..., None, :, :], order="C")
+    return out.reshape(*out.shape[:-3], -1, out.shape[-1])
 
 
 def parafac_build(h: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Assemble y[k, t, p] = sum_n h[k, n] * x[t, n] * f[p, n]."""
-    if h.ndim != 2 or x.ndim != 2 or f.ndim != 2:
+    if h.ndim < 2 or x.ndim < 2 or f.ndim < 2:
         raise ValueError("parafac_build expects three matrices")
-    if not (h.shape[1] == x.shape[1] == f.shape[1]):
+    if not (h.shape[-1] == x.shape[-1] == f.shape[-1]):
         raise ValueError(
             "factor column counts differ: "
-            f"{h.shape[1]}, {x.shape[1]}, {f.shape[1]}"
+            f"{h.shape[-1]}, {x.shape[-1]}, {f.shape[-1]}"
         )
     # khatri_rao(h, x) @ f.T as one fixed contraction; an optimised einsum
     # would search for a path on every call.
-    return (khatri_rao(h, x) @ f.T).reshape(h.shape[0], x.shape[0], f.shape[0])
+    y = khatri_rao(h, x) @ np.swapaxes(f, -1, -2)
+    return y.reshape(*y.shape[:-2], h.shape[-2], x.shape[-2], f.shape[-2])
+
+
+def squared_norms(a: np.ndarray, ndim: int) -> np.ndarray:
+    """``float(np.linalg.norm(t)) ** 2`` of each trial's array ``t``, the
+    last ``ndim`` axes of ``a``, bit for bit, in the shape of the leading
+    axes.  numpy's whole-array norm is the square root of BLAS dot
+    products over the real and the imaginary parts, which a reduction
+    along an axis does not reproduce; ``np.vecdot`` takes the same dot
+    product of each trial.  The square is Python's, as in that expression:
+    it rounds differently from ``x * x`` now and then."""
+    lead = a.shape[: a.ndim - ndim]
+    flat = a.reshape(*lead, -1)
+    if flat.dtype.kind not in "fc":  # as np.linalg.norm casts
+        flat = flat.astype(float)
+    if flat.dtype.kind == "c":
+        dots = np.vecdot(flat.real, flat.real) + np.vecdot(flat.imag, flat.imag)
+    else:
+        dots = np.vecdot(flat, flat)
+    squares = [norm**2 for norm in np.sqrt(dots).reshape(-1).tolist()]
+    return np.array(squares).reshape(lead)
 
 
 def pinv(a: np.ndarray, rcond: float = 1e-12) -> np.ndarray:

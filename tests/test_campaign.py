@@ -33,7 +33,7 @@ from dmasim.campaign import (
 )
 from dmasim.channels import qam_alphabet
 from dmasim.config import RECEIVERS, ExperimentConfig, load_config_file
-from dmasim.receiver import EstimateReport
+from dmasim.receiver import EstimateReport, EstimationError
 
 
 def _tiny(**over):
@@ -87,11 +87,13 @@ def test_trial_rng_is_default_rng_stream_for_stream(seed, snr_idx, trial, tag):
 
 @pytest.fixture
 def fresh_blocks():
-    """An empty seed-block cache, emptied again afterwards, so that no block
-    built under a patched constant outlives the test."""
+    """Empty seed-block and trial-block caches, emptied again afterwards, so
+    that no block built under a patched constant outlives the test."""
     campaign._checked_block.cache_clear()
+    campaign._trial_block.cache_clear()
     yield
     campaign._checked_block.cache_clear()
+    campaign._trial_block.cache_clear()
 
 
 def test_trial_rng_serves_every_tag_from_a_checked_block(fresh_blocks):
@@ -115,8 +117,12 @@ def test_a_block_that_fails_its_check_falls_back_to_default_rng(
     assert campaign._checked_block(5, 2, 0) is None
 
 
-def test_seeded_block_serves_a_desk_trial_without_seed_sequences(monkeypatch):
+def test_seeded_block_serves_a_desk_trial_without_seed_sequences(
+    monkeypatch, fresh_blocks
+):
     base, _ = load_config_file(_DESK_CFG)
+    size = campaign._block_size(base)
+    assert size > 1
     assert run_trial(base, 10.0, 0, 0).failed is None  # seeds the block
     made, seeds = [], []
     for name in ("default_rng", "SeedSequence"):
@@ -134,10 +140,11 @@ def test_seeded_block_serves_a_desk_trial_without_seed_sequences(monkeypatch):
         return real_pcg64(seed)
 
     monkeypatch.setattr(np.random, "PCG64", pcg64)
-    assert run_trial(base, 10.0, 0, 1).failed is None
+    # The first trial of the next block of trials runs the whole block.
+    assert run_trial(base, 10.0, 0, size).failed is None
     assert made == []
-    # One generator per quantity, each seeded from precomputed words.
-    assert seeds == [campaign._SeedWords] * (campaign._TAG_INIT + 1)
+    # One generator per quantity and trial, each seeded from precomputed words.
+    assert seeds == [campaign._SeedWords] * ((campaign._TAG_INIT + 1) * size)
 
 
 @pytest.mark.parametrize("block", [1, 7, None])
@@ -156,15 +163,91 @@ def test_campaign_rows_do_not_depend_on_the_seed_block_size(
     assert render_csv(run_campaign(cfg), cfg) == want
 
 
-@pytest.mark.parametrize(
-    "receiver,training",
-    [
-        ("proposed", "lorentzian"),
-        ("proposed", "semi-unitary-dft"),
-        ("bench-data-aided", "semi-unitary-dft"),
-        ("bench-pilot-aided", "semi-unitary-dft"),
-    ],
-)
+_PAIRINGS = [
+    ("proposed", "lorentzian"),
+    ("proposed", "semi-unitary-dft"),
+    ("bench-data-aided", "semi-unitary-dft"),
+    ("bench-pilot-aided", "semi-unitary-dft"),
+]
+
+
+def _block_of(monkeypatch, cfg, size):
+    """Patch the block constant so that ``cfg`` runs blocks of ``size``."""
+    monkeypatch.setattr(campaign, "_BLOCK_BYTES", size * 16 * cfg.K * cfg.T * cfg.P)
+    assert campaign._block_size(cfg) == size
+
+
+@pytest.mark.parametrize("receiver,training", _PAIRINGS)
+@pytest.mark.parametrize("block", [1, 7])
+def test_campaign_csv_does_not_depend_on_the_trial_block_size(
+    monkeypatch, fresh_blocks, receiver, training, block
+):
+    # Nine trials per point: blocks of 6 (the default at this geometry) and
+    # of 7 both leave a partial block at the end of every point.
+    cfg = _tiny(
+        trials=9, snr_grid_db=(0.0, 10.0, 20.0), receiver=receiver, training=training
+    )
+    assert campaign._block_size(cfg) == 6
+    want = render_csv(run_campaign(cfg), cfg)
+    _block_of(monkeypatch, cfg, block)
+    assert render_csv(run_campaign(cfg), cfg) == want
+
+
+def _without_runtime(result: TrialResult) -> str:
+    """The result less its wall-clock field, as text: NaN (the SER of a
+    pilot block) then compares equal, and every float bit for bit."""
+    return repr(dataclasses.replace(result, runtime_s=0.0))
+
+
+@pytest.mark.parametrize("receiver,training", _PAIRINGS)
+def test_a_trial_inside_a_block_is_that_trial_run_alone(
+    monkeypatch, fresh_blocks, receiver, training
+):
+    cfg = _tiny(trials=9, receiver=receiver, training=training)
+    inside = run_trial(cfg, 10.0, 1, 3)  # the fourth trial of the block 0-5
+    _block_of(monkeypatch, cfg, 1)
+    alone = run_trial(cfg, 10.0, 1, 3)
+    assert inside.failed is None
+    assert _without_runtime(inside) == _without_runtime(alone)
+
+
+def test_a_repeated_campaign_computes_its_trials_again(monkeypatch, fresh_blocks):
+    # One SNR point of one block: a block kept from the first campaign would
+    # serve the second, which must report the estimates that now fail.
+    cfg = _tiny(trials=3, snr_grid_db=(10.0,))
+    assert [row.failed for row in run_campaign(cfg)] == [0]
+
+    def fail(cfg, scene):
+        raise EstimationError("patched to fail")
+
+    monkeypatch.setattr(campaign, "estimate", fail)
+    (row,) = run_campaign(cfg)
+    assert (row.trials, row.failed) == (0, 3)
+    assert row.failure_categories == {"EstimationError": 3}
+
+
+def test_a_failing_trial_fails_alone_in_its_block(monkeypatch, fresh_blocks):
+    # A block that raises runs again one trial at a time: only the trial at
+    # fault fails, and the others keep their results.
+    cfg = _tiny(trials=6, snr_grid_db=(10.0,))
+    real = campaign.estimate
+
+    def estimate(cfg, scene):
+        if 4 in scene.trials:
+            raise EstimationError("trial 4 fails")
+        return real(cfg, scene)
+
+    monkeypatch.setattr(campaign, "estimate", estimate)
+    results = [run_trial(cfg, 10.0, 0, trial) for trial in range(cfg.trials)]
+    assert [r.failed for r in results] == [None] * 4 + ["EstimationError", None]
+    monkeypatch.setattr(campaign, "estimate", real)
+    _block_of(monkeypatch, cfg, 1)
+    alone = [run_trial(cfg, 10.0, 0, trial) for trial in range(cfg.trials)]
+    for got, ref in zip(results[:4] + results[5:], alone[:4] + alone[5:]):
+        assert _without_runtime(got) == _without_runtime(ref)
+
+
+@pytest.mark.parametrize("receiver,training", _PAIRINGS)
 def test_run_trial_produces_finite_metrics(receiver, training):
     cfg = _tiny(receiver=receiver, training=training)
     tr = run_trial(cfg, 15.0, 0, 0)
@@ -196,7 +279,7 @@ def test_run_trial_draws_the_same_scene_for_every_receiver():
 def test_draw_scene_is_the_same_for_every_receiver():
     scenes = {
         receiver: draw_scene(
-            _tiny(receiver=receiver, training="semi-unitary-dft"), 10.0, 1, 2
+            _tiny(receiver=receiver, training="semi-unitary-dft"), 10.0, 1, range(2, 4)
         )
         for receiver in RECEIVERS
     }
@@ -210,14 +293,15 @@ def test_draw_scene_is_the_same_for_every_receiver():
 
 def test_score_flags_a_zero_channel_column_as_a_degenerate_fit():
     cfg = _tiny()
-    scene = draw_scene(cfg, 10.0, 0, 0)
+    scene = draw_scene(cfg, 10.0, 0, range(2))
     exact = EstimateReport(h_hat=scene.h, m_hat=scene.m, s_hat=scene.s)
-    assert score(cfg, scene, exact, 0.0).failed is None
+    assert [tr.failed for tr in score(cfg, scene, exact, 0.0)] == [None, None]
     h_hat = scene.h.copy()
-    h_hat[:, 0] = 0.0
-    tr = score(cfg, scene, dataclasses.replace(exact, h_hat=h_hat), 0.0)
-    assert tr.failed == "DegenerateMetricFit"
-    assert math.isnan(tr.nmse_h)
+    h_hat[1, :, 0] = 0.0  # the first channel column of the second trial
+    first, second = score(cfg, scene, dataclasses.replace(exact, h_hat=h_hat), 0.0)
+    assert first.failed is None
+    assert second.failed == "DegenerateMetricFit"
+    assert math.isnan(second.nmse_h)
 
 
 def _count_linalg(monkeypatch):
@@ -234,24 +318,30 @@ def _count_linalg(monkeypatch):
     return calls
 
 
-def test_lorentzian_trial_looks_at_the_training_spectrum_once(monkeypatch):
-    # The rank check's eigenvalues serve the receiver; F itself is never
-    # decomposed (matrix_rank would take its SVD).
+def test_lorentzian_trial_looks_at_the_training_spectrum_once(
+    monkeypatch, fresh_blocks
+):
+    # The block's trainings take one stacked eigendecomposition for their
+    # rank checks, and its eigenvalues serve every trial's receiver: bals
+    # takes none of its own.  F itself is never decomposed (matrix_rank
+    # would take its SVD).
     cfg = _tiny()
+    size = min(campaign._block_size(cfg), cfg.trials)
     calls = _count_linalg(monkeypatch)
     assert run_trial(cfg, 10.0, 0, 0).failed is None
-    assert calls["eigvalsh"] == [(cfg.N, cfg.N)]
+    assert calls["eigvalsh"] == [(size, cfg.N, cfg.N)]
     assert calls["matrix_rank"] == []
-    assert (cfg.P, cfg.N) not in calls["svd"]
+    assert all(shape[-2:] != (cfg.P, cfg.N) for shape in calls["svd"])
 
 
-def test_dft_trial_reuses_the_remembered_training_spectrum(monkeypatch):
-    cfg = _tiny(training="semi-unitary-dft")
+def test_dft_trial_reuses_the_remembered_training_spectrum(monkeypatch, fresh_blocks):
+    size = campaign._block_size(_tiny())
+    cfg = _tiny(training="semi-unitary-dft", trials=2 * size)
     assert run_trial(cfg, 10.0, 0, 0).failed is None
     calls = _count_linalg(monkeypatch)
-    assert run_trial(cfg, 10.0, 0, 1).failed is None
+    assert run_trial(cfg, 10.0, 0, size).failed is None  # runs the next block
     assert calls["eigvalsh"] == calls["matrix_rank"] == []
-    assert (cfg.P, cfg.N) not in calls["svd"]
+    assert all(shape[-2:] != (cfg.P, cfg.N) for shape in calls["svd"])
 
 
 _DESK_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "desk.cfg")
@@ -398,10 +488,11 @@ def test_campaign_with_one_symbol_reports_no_ser(tmp_path):
 
 
 def test_scene_keeps_the_drawn_symbol_indices():
-    scene = draw_scene(_tiny(), 10.0, 1, 2)
+    scene = draw_scene(_tiny(), 10.0, 1, range(2, 4))
     np.testing.assert_array_equal(scene.s, qam_alphabet(64)[scene.s_idx])
     pilots = draw_scene(
-        _tiny(receiver="bench-pilot-aided", training="semi-unitary-dft"), 10.0, 1, 2
+        _tiny(receiver="bench-pilot-aided", training="semi-unitary-dft"),
+        10.0, 1, range(2, 4),
     )
     assert pilots.s_idx is None
 

@@ -162,6 +162,10 @@ _UNDERFLOW = {
         {"seed": -1},
         {"tol": 0.0},
         {"rcond": -1.0},
+        # pinv drops every singular value at or below rcond * sigma_max: from
+        # rcond = 1 on, a fallback half-step returned an all-zero factor.
+        {"rcond": 1.0},
+        {"rcond": 2.5},
         {"receiver": "magic"},
         {"training": "hadamard"},
         {"inner_model": "cosmic"},
