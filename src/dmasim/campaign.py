@@ -19,10 +19,10 @@ vectorised port of numpy's ``SeedSequence`` hash, checked against numpy
 once per block (``_trial_rng``).  Each trial's draws still come from its
 own streams, so a trial's result is the same in a block of any size, and
 an exception in a block (a failed draw or estimate) reruns the block one
-trial at a time, so that only the trials at fault fail.  Every trial runs in
-the calling thread,
-in trial order, and each SNR point is aggregated before the next starts;
-``threads`` is recorded but has no effect on the run.  Wall-clock runtime
+trial at a time, so that only the trials at fault fail.  Every trial runs
+in the calling thread, in trial order, and each SNR point is aggregated
+before the next starts; ``threads`` is recorded but has no effect on the
+run.  Wall-clock runtime
 is the one environment-dependent quantity; with ``timing = false`` the CSV
 puts ``nan`` in its column, making the whole file byte-reproducible, while
 the JSON summary always carries the measured values.
