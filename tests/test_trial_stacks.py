@@ -6,6 +6,7 @@ and a trial's random draws come from its own generator."""
 import numpy as np
 import pytest
 
+from dmasim import channels
 from dmasim.benchmarks import (
     data_aided_estimate,
     oracle_weights,
@@ -89,8 +90,6 @@ def test_generators_draw_each_trial_from_its_own_stream():
 
 def test_rejected_trainings_redraw_from_their_own_streams(monkeypatch):
     # Reject the first draw of the second trial only: it alone draws again.
-    from dmasim import channels
-
     real, seen = channels.full_column_rank, []
 
     def reject_once(f):
