@@ -140,7 +140,7 @@ class Scene:
     s_idx: np.ndarray | None  # the symbols' alphabet indices; None for pilots
     x: np.ndarray  # symbol block outer(s, m) (B, T, N)
     f: np.ndarray  # training (B, P, N), or (P, N) when shared by every trial
-    y: np.ndarray  # received tensor (B, K, T, P)
+    y: np.ndarray | None  # received tensor (B, K, T, P); None once estimated
     snr_idx: int
     trials: range
 
@@ -323,8 +323,11 @@ def score(
 
 
 # Received-tensor bytes a block of trials holds at once (a complex entry is
-# 16 bytes): six trials at the desk geometry, one at the scaled geometry.
-_BLOCK_BYTES = 256 * 1024
+# 16 bytes): 25 trials at the desk geometry, four at the scaled geometry.
+# A block's other arrays stay within about one more tensor's worth: the
+# noiseless build forms one trial's Khatri-Rao product at a time, and the
+# tensors go before scoring.
+_BLOCK_BYTES = 1024 * 1024
 
 
 def _block_size(cfg: ExperimentConfig) -> int:
@@ -349,6 +352,8 @@ def _run_block(
             for trial in trials
             for result in _run_block(cfg, snr_db, snr_idx, range(trial, trial + 1))
         ]
+    # Scoring reads only the ground truth: the received tensors go first.
+    scene = dataclasses.replace(scene, y=None)
     return score(cfg, scene, report, runtime_s)
 
 

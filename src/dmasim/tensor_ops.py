@@ -65,9 +65,16 @@ def parafac_build(h: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
             f"{h.shape[-1]}, {x.shape[-1]}, {f.shape[-1]}"
         )
     # khatri_rao(h, x) @ f.T as one fixed contraction; an optimised einsum
-    # would search for a path on every call.
-    y = khatri_rao(h, x) @ np.swapaxes(f, -1, -2)
-    return y.reshape(*y.shape[:-2], h.shape[-2], x.shape[-2], f.shape[-2])
+    # would search for a path on every call.  A stack is built trial by
+    # trial into its output, so no Khatri-Rao product of the whole stack is
+    # held: each trial is the same GEMM that the stacked product runs.
+    lead = np.broadcast_shapes(h.shape[:-2], x.shape[:-2], f.shape[:-2])
+    k, t, p = h.shape[-2], x.shape[-2], f.shape[-2]
+    y = np.empty((*lead, k * t, p), np.result_type(h, x, f))
+    hs, xs, fs = (np.broadcast_to(a, (*lead, *a.shape[-2:])) for a in (h, x, f))
+    for i in np.ndindex(*lead):
+        np.matmul(khatri_rao(hs[i], xs[i]), fs[i].T, out=y[i])
+    return y.reshape(*lead, k, t, p)
 
 
 def squared_norms(a: np.ndarray, ndim: int) -> np.ndarray:

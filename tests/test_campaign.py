@@ -3,6 +3,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -182,15 +183,49 @@ def _block_of(monkeypatch, cfg, size):
 def test_campaign_csv_does_not_depend_on_the_trial_block_size(
     monkeypatch, fresh_blocks, receiver, training, block
 ):
-    # Nine trials per point: blocks of 6 (the default at this geometry) and
-    # of 7 both leave a partial block at the end of every point.
+    # Two trials past the default block (25 at this geometry): blocks of
+    # the default size and of 7 both leave a partial block at the end of
+    # every point.
+    default = campaign._block_size(_tiny())
     cfg = _tiny(
-        trials=9, snr_grid_db=(0.0, 10.0, 20.0), receiver=receiver, training=training
+        trials=default + 2, snr_grid_db=(0.0, 10.0, 20.0),
+        receiver=receiver, training=training,
     )
-    assert campaign._block_size(cfg) == 6
+    assert campaign._block_size(cfg) == default
+    assert cfg.trials % default and cfg.trials % 7
     want = render_csv(run_campaign(cfg), cfg)
     _block_of(monkeypatch, cfg, block)
     assert render_csv(run_campaign(cfg), cfg) == want
+
+
+# Received tensors' worth of memory a default desk block may hold at its
+# peak, above what it starts with: the tensors themselves plus the stages'
+# temporaries.  The pilot-aided reference copies the tensors once more, into
+# the mode-2 unfolding that the public ``pilot_aided_m`` takes.
+_BLOCK_PEAK_TENSORS = [
+    (receiver, training, 2.5 if receiver == "bench-pilot-aided" else 2.0)
+    for receiver, training in _PAIRINGS
+]
+
+
+@pytest.mark.parametrize("receiver,training,tensors", _BLOCK_PEAK_TENSORS)
+def test_a_default_desk_block_peaks_near_two_received_tensors(
+    fresh_blocks, receiver, training, tensors
+):
+    base, _ = load_config_file(_DESK_CFG)
+    cfg = dataclasses.replace(base, receiver=receiver, training=training)
+    size = campaign._block_size(cfg)
+    block_bytes = size * 16 * cfg.K * cfg.T * cfg.P
+    # The first block fills the seed-word and training-spectrum memos.
+    campaign._run_block(cfg, 10.0, 0, range(size))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        campaign._run_block(cfg, 10.0, 0, range(size, 2 * size))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= tensors * block_bytes
 
 
 def _without_runtime(result: TrialResult) -> str:
@@ -204,7 +239,7 @@ def test_a_trial_inside_a_block_is_that_trial_run_alone(
     monkeypatch, fresh_blocks, receiver, training
 ):
     cfg = _tiny(trials=9, receiver=receiver, training=training)
-    inside = run_trial(cfg, 10.0, 1, 3)  # the fourth trial of the block 0-5
+    inside = run_trial(cfg, 10.0, 1, 3)  # the fourth trial of the block 0-8
     _block_of(monkeypatch, cfg, 1)
     alone = run_trial(cfg, 10.0, 1, 3)
     assert inside.failed is None
