@@ -8,6 +8,9 @@ axis: many small per-trial array operations become one operation on the
 block.  ``run_trial`` returns one trial's result from the block that holds
 it, computed once (``_trial_block``); the block size follows from the size
 of one received tensor (``_BLOCK_BYTES``), and no result depends on it.
+A block's peak memory is about twice its received tensors: the tensors
+are built into one array a few trials at a time and dropped before
+scoring.
 Each block's estimate stage is timed as a whole and the time shared evenly
 among its trials.
 
@@ -324,9 +327,9 @@ def score(
 
 # Received-tensor bytes a block of trials holds at once (a complex entry is
 # 16 bytes): 25 trials at the desk geometry, four at the scaled geometry.
-# A block's other arrays stay within about one more tensor's worth: the
-# noiseless build forms one trial's Khatri-Rao product at a time, and the
-# tensors go before scoring.
+# At its peak a desk block holds about twice this: the noiseless build
+# (``parafac_build``) forms the Khatri-Rao products of a few trials at a
+# time, and the tensors go before scoring.
 _BLOCK_BYTES = 1024 * 1024
 
 

@@ -233,7 +233,9 @@ def _misfit(
     ynorm: float, it: int,
 ) -> float:
     """The explicit full-model misfit ``||Y - Y_hat|| / ||Y||``."""
-    eps = float(np.linalg.norm(y - parafac_build(h_hat, x_hat, f))) / ynorm
+    residual = parafac_build(h_hat, x_hat, f)
+    np.subtract(y, residual, out=residual)  # Y - Y_hat in Y_hat's array
+    eps = float(np.linalg.norm(residual)) / ynorm
     if not math.isfinite(eps):
         raise EstimationError(f"non-finite residual at iteration {it}")
     return eps

@@ -22,6 +22,8 @@ index trials: every function here maps a stack of trials' arrays to the
 stack of its per-trial results.
 """
 
+import math
+
 import numpy as np
 
 
@@ -65,15 +67,28 @@ def parafac_build(h: np.ndarray, x: np.ndarray, f: np.ndarray) -> np.ndarray:
             f"{h.shape[-1]}, {x.shape[-1]}, {f.shape[-1]}"
         )
     # khatri_rao(h, x) @ f.T as one fixed contraction; an optimised einsum
-    # would search for a path on every call.  A stack is built trial by
-    # trial into its output, so no Khatri-Rao product of the whole stack is
-    # held: each trial is the same GEMM that the stacked product runs.
+    # would search for a path on every call.  A stack of B trials is built
+    # into its output about sqrt(B) trials at a time: the loop runs about
+    # sqrt(B) times, and only a sub-block's Khatri-Rao product is held.
+    # Each trial is the same GEMM as in one stacked product.  The multiply
+    # behind a product takes two buffers of up to its size while it runs,
+    # so the output is allocated after the first product, and each product
+    # is let go before the next.
     lead = np.broadcast_shapes(h.shape[:-2], x.shape[:-2], f.shape[:-2])
     k, t, p = h.shape[-2], x.shape[-2], f.shape[-2]
-    y = np.empty((*lead, k * t, p), np.result_type(h, x, f))
-    hs, xs, fs = (np.broadcast_to(a, (*lead, *a.shape[-2:])) for a in (h, x, f))
-    for i in np.ndindex(*lead):
-        np.matmul(khatri_rao(hs[i], xs[i]), fs[i].T, out=y[i])
+    trials = math.prod(lead)
+    hs, xs, fs = (
+        np.broadcast_to(a, (*lead, *a.shape[-2:])).reshape(trials, *a.shape[-2:])
+        for a in (h, x, f)
+    )
+    step = math.isqrt(trials)
+    y = None
+    for j in range(0, trials, step):
+        kr = khatri_rao(hs[j:j + step], xs[j:j + step])
+        if y is None:
+            y = np.empty((trials, k * t, p), np.result_type(kr, f))
+        np.matmul(kr, np.swapaxes(fs[j:j + step], -1, -2), out=y[j:j + step])
+        del kr
     return y.reshape(*lead, k, t, p)
 
 
