@@ -10,14 +10,8 @@ import argparse
 import dataclasses
 import sys
 
-from dmasim.campaign import run_campaign
+from dmasim.campaign import RECEIVERS, run_campaign
 from dmasim.config import ExperimentConfig
-
-RECEIVERS = (
-    ("proposed", "lorentzian"),
-    ("bench-data-aided", "semi-unitary-dft"),
-    ("bench-pilot-aided", "semi-unitary-dft"),
-)
 
 
 def main(argv=None) -> int:
@@ -42,19 +36,20 @@ def main(argv=None) -> int:
     )
 
     curves = {}
-    for receiver, training in RECEIVERS:
+    for receiver, spec in RECEIVERS.items():
+        training = "semi-unitary-dft" if spec.closed_form else "lorentzian"
         cfg = dataclasses.replace(base, receiver=receiver, training=training)
         rows = run_campaign(cfg, out_dir=f"{args.out}/{receiver}")
         curves[receiver] = rows
         print(f"{receiver}: wrote {args.out}/{receiver}/results.csv")
 
     print(f"\n{'snr_db':>7}", end="")
-    for receiver, _ in RECEIVERS:
+    for receiver in RECEIVERS:
         print(f"  {receiver + ' H':>22}  {receiver + ' m':>22}", end="")
     print()
     for i, snr in enumerate(grid):
         print(f"{snr:7.1f}", end="")
-        for receiver, _ in RECEIVERS:
+        for receiver in RECEIVERS:
             row = curves[receiver][i]
             print(f"  {row.nmse_h_db:22.2f}  {row.nmse_m_db:22.2f}", end="")
         print()

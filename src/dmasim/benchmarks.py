@@ -15,10 +15,9 @@ stack at once.
 
 Oracle side information: the weights ``m_tilde[n] = 1/|m[n]|^2`` and
 ``h_tilde[n] = 1/||H[:, n]||^2`` — and, for the channel estimators, the
-true symbol block itself — come from ground truth.  The table
-``ORACLE_SIDE_INFORMATION`` at the bottom states exactly which quantities
-each composed estimator reads from it, so campaign summaries stay honestly
-labelled.
+true symbol block itself — come from ground truth.  Each receiver's
+``campaign.RECEIVERS`` entry states exactly which quantities its composed
+estimator reads from it, so campaign summaries stay honestly labelled.
 """
 
 import numpy as np
@@ -178,7 +177,7 @@ def data_aided_estimate(
     s1_ref: complex,
 ) -> EstimateReport:
     """One-shot data-aided reference receiver: the closed-form channel and
-    symbol-block filters on oracle inputs (``ORACLE_SIDE_INFORMATION``),
+    symbol-block filters on oracle inputs (its ``campaign.RECEIVERS`` notes),
     then the iterative receiver's second stage, ``split_and_anchor``."""
     m_tilde, h_tilde = oracle_weights(h_true, m_true)
     yf = contract_training(y, f)
@@ -198,7 +197,7 @@ def pilot_aided_estimate(
 ) -> EstimateReport:
     """One-shot pilot-aided reference receiver (no symbols to estimate): the
     closed-form channel and inner-response filters on oracle inputs
-    (``ORACLE_SIDE_INFORMATION``); the pilot block is known by design, and
+    (its ``campaign.RECEIVERS`` notes); the pilot block is known by design, and
     is returned itself as the symbol estimate."""
     m_tilde, h_tilde = oracle_weights(h_true, m_true)
     # pilot_aided_m checks the pilots, whose squared norm is then T.
@@ -207,16 +206,3 @@ def pilot_aided_estimate(
     h_hat = _channel_filter(contract_training(y, f), f, x, m_tilde, pilots.shape[-1])
     return EstimateReport(h_hat, m_hat, pilots)
 
-
-# The ground truth each reference receiver reads, by receiver name, as the
-# campaign summary labels it.  The proposed receiver reads none.
-ORACLE_SIDE_INFORMATION = {
-    "bench-data-aided": (
-        "channel estimate uses the true symbol block and true inner-response moduli",
-        "symbol-block estimate uses the true channel and its column energies",
-    ),
-    "bench-pilot-aided": (
-        "channel estimate uses the known pilots, true inner response and its moduli",
-        "inner-response estimate uses the true channel and its column energies",
-    ),
-}

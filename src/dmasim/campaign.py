@@ -44,17 +44,14 @@ import math
 import os
 import time
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
-from .benchmarks import (
-    ORACLE_SIDE_INFORMATION,
-    data_aided_estimate,
-    pilot_aided_estimate,
-)
+from .benchmarks import data_aided_estimate, pilot_aided_estimate
 from .channels import (
     GenerationError,
     gen_dft_training,
@@ -146,6 +143,16 @@ class Scene:
     y: np.ndarray | None  # received tensor (B, K, T, P); None once estimated
     snr_idx: int
     trials: range
+
+
+@dataclass(frozen=True)
+class Receiver:
+    """What a receiver is and needs, as its ``RECEIVERS`` entry states it."""
+
+    estimate: Callable[[ExperimentConfig, Scene], EstimateReport]
+    pilots: bool = False  # the scene sends the pilot block, not symbols
+    closed_form: bool = False  # needs semi-unitary training and finite 1/|m|^2
+    oracle: tuple[str, ...] = ()  # the ground truth it reads, as the summary notes
 
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), fixed
@@ -242,8 +249,8 @@ def draw_scene(
     cfg: ExperimentConfig, snr_db: float, snr_idx: int, trials: range
 ) -> Scene:
     """Draw the ground truth of a block of trials and build their received
-    tensors at ``snr_db``; the bench-pilot-aided receiver sends the pilot
-    block.  A single trial is a block of one."""
+    tensors at ``snr_db``; a receiver whose ``RECEIVERS`` entry has
+    ``pilots`` sends the pilot block.  A single trial is a block of one."""
     def rngs(tag: int) -> list[np.random.Generator]:
         return [_trial_rng(cfg.seed, snr_idx, trial, tag) for trial in trials]
 
@@ -253,7 +260,7 @@ def draw_scene(
         m = np.broadcast_to(m, (len(trials), cfg.N))
     else:
         m = gen_inner_random_phase(cfg.N, rngs(_TAG_INNER))
-    if cfg.receiver == "bench-pilot-aided":
+    if RECEIVERS[cfg.receiver].pilots:
         s, s_idx = np.broadcast_to(gen_pilots(cfg.T), (len(trials), cfg.T)), None
     else:
         s_idx = qam_indices(cfg.T, cfg.qam_order, rngs(_TAG_SYMBOLS))
@@ -270,26 +277,46 @@ def draw_scene(
     )
 
 
+def _proposed(cfg: ExperimentConfig, scene: Scene) -> EstimateReport:
+    rng = [_trial_rng(cfg.seed, scene.snr_idx, t, _TAG_INIT) for t in scene.trials]
+    bals = BalsConfig(max_iters=cfg.max_iters, tol=cfg.tol, rcond=cfg.rcond)
+    return two_stage_estimate(scene.y, scene.f, s1_ref=scene.s[:, 0], cfg=bals, rng=rng)
+
+
+# Every receiver, by config name.  An entry's estimate looks its estimator
+# up in this module when it runs, so the benchmark's tracer (bench/child.py)
+# sees the calls it patches in here.
+RECEIVERS = {
+    "proposed": Receiver(_proposed),
+    "bench-data-aided": Receiver(
+        lambda cfg, scene: data_aided_estimate(
+            scene.y, scene.f, x_true=scene.x, h_true=scene.h, m_true=scene.m,
+            s1_ref=scene.s[:, 0],
+        ),
+        closed_form=True,
+        oracle=(
+            "channel estimate uses the true symbol block and true inner-response moduli",
+            "symbol-block estimate uses the true channel and its column energies",
+        ),
+    ),
+    "bench-pilot-aided": Receiver(
+        lambda cfg, scene: pilot_aided_estimate(
+            scene.y, scene.f, h_true=scene.h, m_true=scene.m, pilots=scene.s
+        ),
+        pilots=True,
+        closed_form=True,
+        oracle=(
+            "channel estimate uses the known pilots, true inner response and its moduli",
+            "inner-response estimate uses the true channel and its column energies",
+        ),
+    ),
+}
+
+
 def estimate(cfg: ExperimentConfig, scene: Scene) -> EstimateReport:
     """Run the configured receiver on the scene's received tensors.  The
     closed-form references read their oracle inputs from the scene."""
-    if cfg.receiver == "proposed":
-        return two_stage_estimate(
-            scene.y, scene.f, s1_ref=scene.s[:, 0],
-            cfg=BalsConfig(max_iters=cfg.max_iters, tol=cfg.tol, rcond=cfg.rcond),
-            rng=[
-                _trial_rng(cfg.seed, scene.snr_idx, trial, _TAG_INIT)
-                for trial in scene.trials
-            ],
-        )
-    if cfg.receiver == "bench-data-aided":
-        return data_aided_estimate(
-            scene.y, scene.f, x_true=scene.x, h_true=scene.h, m_true=scene.m,
-            s1_ref=scene.s[:, 0],
-        )
-    return pilot_aided_estimate(
-        scene.y, scene.f, h_true=scene.h, m_true=scene.m, pilots=scene.s
-    )
+    return RECEIVERS[cfg.receiver].estimate(cfg, scene)
 
 
 def score(
@@ -388,7 +415,6 @@ def _aggregate(snr_db: float, trials: list[TrialResult]) -> MetricRow:
         # NaN when no trial survived.
         return float(np.mean([getattr(t, field) for t in good])) if good else math.nan
 
-    no_ser = all(math.isnan(t.ser) for t in good)  # pilot blocks carry no SER
     iters = sorted(t.iterations for t in good)
 
     def percentile(pct: int) -> float:
@@ -398,7 +424,7 @@ def _aggregate(snr_db: float, trials: list[TrialResult]) -> MetricRow:
         snr_db=snr_db,
         nmse_h_db=to_db(mean("nmse_h")),
         nmse_m_db=to_db(mean("nmse_m")),
-        ser=math.nan if no_ser else mean("ser"),
+        ser=mean("ser"),  # NaN for pilot blocks, which carry no SER
         mean_iters=mean("iterations"),
         mean_runtime_s=mean("runtime_s"),
         trials=len(good),
@@ -487,7 +513,7 @@ def summary_dict(rows: list[MetricRow], cfg: ExperimentConfig) -> dict:
         "seed": cfg.seed,
         "nmse_fit": NMSE_FIT_LABEL,
         "per_iteration_flops": flop_estimate(cfg.K, cfg.T, cfg.P, cfg.N),
-        "oracle_side_information": ORACLE_SIDE_INFORMATION.get(cfg.receiver, ()),
+        "oracle_side_information": RECEIVERS[cfg.receiver].oracle,
         "wall_clock_fields_nondeterministic": ["rows[].mean_runtime_s"],
         "rows": [
             {

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RECEIVERS = ("proposed", "bench-data-aided", "bench-pilot-aided")
 TRAININGS = ("lorentzian", "semi-unitary-dft")
 INNER_MODELS = ("random-phase", "physical")
 # ``threads`` has no effect today: campaigns run in the calling thread.  It is
@@ -194,13 +193,16 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         # pinv drops every singular value at or below rcond * sigma_max; from
         # 1 on that is all of them, and a fallback half-step returns zeros.
         raise ConfigError("rcond must lie between 0 and 1, exclusive")
+    from .campaign import RECEIVERS  # campaign imports this module
+
     if cfg.receiver not in RECEIVERS:
-        raise ConfigError(f"receiver must be one of {RECEIVERS}")
+        raise ConfigError(f"receiver must be one of {tuple(RECEIVERS)}")
+    closed_form = RECEIVERS[cfg.receiver].closed_form
     if cfg.training not in TRAININGS:
         raise ConfigError(f"training must be one of {TRAININGS}")
     if cfg.inner_model not in INNER_MODELS:
         raise ConfigError(f"inner_model must be one of {INNER_MODELS}")
-    if cfg.receiver != "proposed" and cfg.training != "semi-unitary-dft":
+    if closed_form and cfg.training != "semi-unitary-dft":
         raise ConfigError(
             "benchmark receivers require training = semi-unitary-dft"
         )
@@ -222,7 +224,7 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
                 "physical inner model response is non-finite or all zero at "
                 f"alpha={cfg.alpha}, beta={cfg.beta}, spacing={cfg.spacing}, L={cfg.L}"
             )
-        if cfg.receiver != "proposed" and not np.all(np.isfinite(m_tilde)):
+        if closed_form and not np.all(np.isfinite(m_tilde)):
             # The closed forms weight element n by 1/|m[n]|^2, which is
             # infinite once the damped response underflows.
             raise ConfigError(

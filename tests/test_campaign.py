@@ -18,6 +18,7 @@ from dmasim.campaign import (
     CSV_SCHEMA,
     MetricRow,
     NMSE_FIT_LABEL,
+    RECEIVERS,
     SUMMARY_SCHEMA,
     TrialResult,
     _aggregate,
@@ -33,7 +34,12 @@ from dmasim.campaign import (
     write_summary_json,
 )
 from dmasim.channels import qam_alphabet
-from dmasim.config import RECEIVERS, ExperimentConfig, load_config_file
+from dmasim.config import (
+    ConfigError,
+    ExperimentConfig,
+    load_config_file,
+    validate_config,
+)
 from dmasim.receiver import EstimateReport, EstimationError
 
 
@@ -324,6 +330,29 @@ def test_draw_scene_is_the_same_for_every_receiver():
             np.testing.assert_array_equal(getattr(scene, name), getattr(ref, name))
     # Only the pilot-aided receiver sends another symbol block.
     np.testing.assert_array_equal(scenes["bench-data-aided"].y, ref.y)
+
+
+def test_a_receiver_is_one_table_entry(monkeypatch):
+    # A fourth receiver costs one RECEIVERS entry: validation, the scene, the
+    # estimate and the summary's oracle notes all read it from the table.
+    monkeypatch.setitem(RECEIVERS, "copy", RECEIVERS["bench-data-aided"])
+    copy = _tiny(receiver="copy", training="semi-unitary-dft", trials=2)
+    ref = dataclasses.replace(copy, receiver="bench-data-aided")
+    validate_config(copy)
+    with pytest.raises(ConfigError, match="semi-unitary-dft"):
+        validate_config(dataclasses.replace(copy, training="lorentzian"))
+    scenes = [draw_scene(cfg, 10.0, 1, range(2)) for cfg in (copy, ref)]
+    for name in ("h", "m", "s", "s_idx", "x", "f", "y"):
+        np.testing.assert_array_equal(*(getattr(scene, name) for scene in scenes))
+
+    def rows(cfg):  # less the wall clock
+        return [
+            dataclasses.replace(row, mean_runtime_s=None) for row in run_campaign(cfg)
+        ]
+
+    assert rows(copy) == rows(ref)
+    notes = [summary_dict([], cfg)["oracle_side_information"] for cfg in (copy, ref)]
+    assert notes[0] == notes[1] != []
 
 
 def test_score_flags_a_zero_channel_column_as_a_degenerate_fit():
