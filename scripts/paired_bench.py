@@ -29,15 +29,21 @@ as its ``bench/workloads.py`` says and before numpy loads.  A run is one
 pass of the workload's campaigns, reported as trials per CPU second
 (``time.process_time()`` around each ``run_campaign``); the two runs of a
 pair go back to back, and ``--seconds`` is unused.  One untimed pair per
-workload warms both sides first.  A pair counts as correct when both
-sides' CSVs hash the same.  Passing one checkout as both sides shows the
-method's noise floor.
+workload warms both sides first.  Passing one checkout as both sides
+shows the method's noise floor.
+
+Under ``--cpu`` a pair counts as correct when ``compare`` from the change
+checkout's ``bench/science.py`` finds no difference between the two
+sides' campaign rows.  That is the rule ``bench/run.py`` gates on:
+iteration means, SER, trials and failures exact, NMSE within its
+``NMSE_TOL_DB``.  A change that moves NMSE only at roundoff reads correct;
+byte identity is the check of ``scripts/csv_fingerprint.py``.  A pair
+that differs prints its first difference.
 """
 
 import argparse
 import dataclasses
 import functools
-import hashlib
 import importlib.util
 import json
 import os
@@ -72,12 +78,16 @@ def _import_file(name: str, path: str, search: list[str] | None = None):
 def cpu_runner(checkout: str, side: str):
     """A function ``(workload, seed) -> result`` that runs one pass of the
     workload's campaigns with ``checkout``'s own code, imported here as
-    ``dmasim_<side>``, and returns its trials per CPU second and CSV hash."""
+    ``dmasim_<side>``, and returns its trials per CPU second and, per
+    campaign, its rows as the checkout's ``science.row_dict``s."""
     sys.dont_write_bytecode = True  # leave no cache in either checkout
     workloads = _import_file(
         f"workloads_{side}", os.path.join(checkout, "bench", "workloads.py")
     )
     os.environ.update(workloads.BLAS_THREAD_ENV)  # before numpy first loads
+    science = _import_file(
+        f"science_{side}", os.path.join(checkout, "bench", "science.py")
+    )
     package = os.path.join(checkout, "src", "dmasim")
     _import_file(f"dmasim_{side}", os.path.join(package, "__init__.py"), [package])
     campaign = importlib.import_module(f"dmasim_{side}.campaign")
@@ -86,7 +96,7 @@ def cpu_runner(checkout: str, side: str):
 
     def run(workload: str, seed: int) -> dict:
         trials = failed = cpu_s = 0
-        csv = hashlib.sha256()
+        science_rows = []
         for overrides in workloads.WORKLOADS[workload]:
             cfg = dataclasses.replace(base, **overrides, seed=seed)
             t0 = time.process_time()
@@ -94,11 +104,20 @@ def cpu_runner(checkout: str, side: str):
             cpu_s += time.process_time() - t0
             trials += cfg.trials * len(campaign.snr_grid(cfg))
             failed += sum(row.failed for row in rows)
-            csv.update(campaign.render_csv(rows, cfg).encode())
-        return {"failed": failed, "csv_sha256": csv.hexdigest(),
+            science_rows.append([science.row_dict(row) for row in rows])
+        return {"failed": failed, "rows": science_rows,
                 "metrics": {"cpu_trials_per_s": {"value": trials / cpu_s}}}
 
     return run
+
+
+def judge(pair: dict, compare) -> list[str]:
+    """Mark both runs of a ``--cpu`` pair correct when ``compare(change rows,
+    parent rows)`` finds no difference; return the differences."""
+    problems = compare(pair["change"]["rows"], pair["parent"]["rows"])
+    for run in pair.values():
+        run["correct"] = not problems
+    return problems
 
 
 def bench_lines(checkout: str, workload: str, seed: int, *flags: str) -> tuple[dict, dict]:
@@ -186,6 +205,9 @@ def main(argv=None) -> int:
     if args.cpu:
         runners = {side: cpu_runner(getattr(args, side), side)
                    for side in ("parent", "change")}
+        compare = _import_file(
+            "science_judge", os.path.join(args.change, "bench", "science.py")
+        ).compare
     else:
         runners = {side: functools.partial(bench_run, getattr(args, side),
                                            seconds=args.seconds)
@@ -198,10 +220,9 @@ def main(argv=None) -> int:
         for i, seed in enumerate(args.seeds):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             pair = {side: runners[side](workload, seed) for side in order}
-            if args.cpu:
-                same = pair["parent"]["csv_sha256"] == pair["change"]["csv_sha256"]
-                for run in pair.values():
-                    run["correct"] = same
+            if args.cpu and (problems := judge(pair, compare)):
+                print(f"# {workload} seed={seed} science: {problems[0]} "
+                      f"({len(problems)} differences)", flush=True)
             pairs.append((pair["parent"], pair["change"]))
             print(f"# {workload} seed={seed} first={order[0]} "
                   + json.dumps({side: pair[side]["metrics"] for side in order}),

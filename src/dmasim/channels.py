@@ -218,7 +218,7 @@ def gen_dft_training(p: int, n: int) -> np.ndarray:
     if p < 1 or n < 1:
         raise ValueError("p and n must be positive")
     if p < n:
-        raise ValueError(f"semi-unitary training needs p >= n, got {p} < {n}")
+        raise ValueError(f"semi-unitary training needs P >= N, got P={p} < N={n}")
     rows = np.arange(p)[:, None]
     cols = np.arange(n)[None, :]
     f = np.exp(-2j * np.pi * rows * cols / p)

@@ -29,6 +29,11 @@ MAX_SNR_POINTS = 10_000
 # add_noise scales by 10 ** (snr_db / 10), which overflows near +3,083 dB and
 # reaches zero near -3,234 dB; within this bound it stays a normal double.
 MAX_ABS_SNR_DB = 3_000.0
+# The closed forms scale the noise by 1/|m|^2.  Their NMSE(m) reads about
+# 2,000 dB at -1,000 dB SNR, and 500 dB at 0 dB with a largest weight of 1e100;
+# past about 3,080 dB it leaves the float range and the trial fails.
+CLOSED_FORM_MIN_SNR_DB = -1_000.0
+CLOSED_FORM_MAX_WEIGHT = 1e100
 
 
 class ConfigError(ValueError):
@@ -206,11 +211,13 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         raise ConfigError(
             "benchmark receivers require training = semi-unitary-dft"
         )
-    from .channels import gen_inner_physical, qam_alphabet  # validation only
+    from .channels import gen_dft_training, gen_inner_physical, qam_alphabet
 
     # The generators own their input rules; a ValueError is a config error.
     try:
         qam_alphabet(cfg.qam_order)
+        if cfg.training == "semi-unitary-dft":
+            gen_dft_training(cfg.P, cfg.N)
         if cfg.inner_model == "physical":
             with np.errstate(all="ignore"):  # reported below, not by numpy
                 m = gen_inner_physical(cfg.D, cfg.L, cfg.alpha, cfg.beta, cfg.spacing)
@@ -245,11 +252,16 @@ def validate_config(cfg: ExperimentConfig) -> list[str]:
         raise ConfigError(f"snr_grid_db entries must lie within ±{MAX_ABS_SNR_DB:g} dB")
     if not cfg.noiseless and len(cfg.snr_grid_db) == 0:
         raise ConfigError("snr_grid_db must not be empty for a noisy campaign")
-    if cfg.training == "semi-unitary-dft" and cfg.P < cfg.N:
-        # gen_dft_training cannot build it; every trial would raise.
-        raise ConfigError(
-            f"semi-unitary-dft training needs P >= N, got P={cfg.P} < N={cfg.N}"
-        )
+    if closed_form:
+        weight = np.max(m_tilde) if cfg.inner_model == "physical" else 1.0
+        lowest = math.inf if cfg.noiseless else min(cfg.snr_grid_db)
+        if lowest < CLOSED_FORM_MIN_SNR_DB or weight > CLOSED_FORM_MAX_WEIGHT:
+            warnings.append(
+                f"{cfg.receiver} weights by 1/|m|^2 up to {weight:.3g} at SNR down "
+                f"to {lowest:g} dB: below {CLOSED_FORM_MIN_SNR_DB:g} dB or above "
+                f"{CLOSED_FORM_MAX_WEIGHT:g} its NMSE(m) nears the float range, "
+                "and trials past it are filed as DegenerateMetricFit"
+            )
     if cfg.P < cfg.N:
         warnings.append(
             f"P={cfg.P} < N={cfg.N}: training cannot reach full column rank; "

@@ -266,6 +266,35 @@ def test_validate_accepts_underflow_only_where_no_weight_needs_it():
         assert validate_config(damped) == []
 
 
+def test_validate_warns_where_closed_form_scores_near_overflow():
+    # The closed forms scale the noise by 1/|m|^2: at the desk geometry they
+    # file every trial as DegenerateMetricFit at -2000 dB, and a response
+    # damped to 1/|m|^2 of about 4e260 scores NMSE(m) near 1,300 dB at 0 dB.
+    desk = dataclasses.replace(ExperimentConfig(), training="semi-unitary-dft")
+    damped = dataclasses.replace(
+        desk, K=3, T=2, P=8, N=4, D=2, L=2, inner_model="physical",
+        alpha=300.0, beta=1.0, spacing=0.5, snr_grid_db=(0.0,),
+    )
+    for receiver in ("bench-data-aided", "bench-pilot-aided"):
+        for cfg in (
+            dataclasses.replace(desk, snr_grid_db=(30.0, -1000.5)),
+            damped,
+            dataclasses.replace(damped, noiseless=True),
+        ):
+            cfg = dataclasses.replace(cfg, receiver=receiver)
+            (note,) = validate_config(cfg)
+            assert "DegenerateMetricFit" in note and receiver in note
+        assert validate_config(
+            dataclasses.replace(desk, receiver=receiver, snr_grid_db=(-1000.0,))
+        ) == []
+        assert validate_config(
+            dataclasses.replace(desk, receiver=receiver, noiseless=True,
+                                snr_grid_db=(-3000.0,))
+        ) == []
+    # The iterative receiver applies no such weight.
+    assert validate_config(dataclasses.replace(damped, snr_grid_db=(-3000.0,))) == []
+
+
 def test_a_partly_underflowing_physical_model_still_runs_under_proposed():
     # Of exp(-200 l), l = 1..4, only the last entry underflows to zero: the
     # response is usable.
