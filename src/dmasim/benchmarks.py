@@ -171,18 +171,20 @@ def oracle_weights(h: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray
 def data_aided_estimate(
     y: np.ndarray,
     f: np.ndarray,
-    x_true: np.ndarray,
+    s_true: np.ndarray,
     h_true: np.ndarray,
     m_true: np.ndarray,
-    s1_ref: complex,
 ) -> EstimateReport:
-    """One-shot data-aided reference receiver: the closed-form channel and
-    symbol-block filters on oracle inputs (its ``campaign.RECEIVERS`` notes),
-    then the iterative receiver's second stage, ``split_and_anchor``."""
+    """One-shot data-aided reference receiver: the closed-form channel filter
+    on the true block ``outer(s_true, m_true)`` and the symbol-block filter,
+    on oracle inputs (its ``campaign.RECEIVERS`` notes), then the iterative
+    receiver's second stage, ``split_and_anchor``, anchored on the true
+    first symbol ``s_true[..., 0]``."""
     m_tilde, h_tilde = oracle_weights(h_true, m_true)
+    x = build_rank_one(s_true, m_true)
     yf = contract_training(y, f)
-    h_hat = _channel_filter(yf, f, x_true, m_tilde, _symbol_energy(x_true, m_tilde))
-    split = split_and_anchor(_symbol_filter(yf, f, h_true, h_tilde), s1_ref)
+    h_hat = _channel_filter(yf, f, x, m_tilde, _symbol_energy(x, m_tilde))
+    split = split_and_anchor(_symbol_filter(yf, f, h_true, h_tilde), s_true[..., 0])
     return EstimateReport(
         h_hat, split.m_hat, split.s_hat, rank1_degenerate=split.degenerate
     )

@@ -5,9 +5,11 @@ builds its noisy received tensor, ``estimate`` runs the configured receiver
 on it, and ``score`` compares the estimates with the ground truth.  The
 stages run on blocks of consecutive trials, as arrays with a leading trial
 axis: many small per-trial array operations become one operation on the
-block.  ``run_trial`` returns one trial's result from the block that holds
-it, computed once (``_trial_block``); the block size follows from the size
-of one received tensor (``_BLOCK_BYTES``), and no result depends on it.
+block.  A trial is named by its SNR index and trial index: ``run_trial(cfg,
+snr_idx, trial)`` returns its result from the block that holds it, computed
+once (``_run_block``), and ``draw_scene`` reads the SNR from
+``snr_grid(cfg)[snr_idx]``.  The block size follows from the size of one
+received tensor (``_BLOCK_BYTES``), and no result depends on it.
 A block's peak memory is about twice its received tensors: the tensors
 are built into one array a few trials at a time and dropped before
 scoring.
@@ -17,18 +19,18 @@ among its trials.
 Determinism contract: every trial draws each random quantity (channel,
 inner response, symbols, training, noise, solver init) from exactly the
 stream of ``default_rng([seed, snr_index, trial_index, quantity_tag])``.
-The generators' seed words are computed in blocks of trials by a
-vectorised port of numpy's ``SeedSequence`` hash, checked against numpy
-once per block (``_trial_rng``).  Each trial's draws still come from its
-own streams, so a trial's result is the same in a block of any size, and
-an exception in a block (a failed draw or estimate) reruns the block one
-trial at a time, so that only the trials at fault fail.  Every trial runs
-in the calling thread, in trial order, and each SNR point is aggregated
-before the next starts; ``threads`` is recorded but has no effect on the
-run.  Wall-clock runtime
-is the one environment-dependent quantity; with ``timing = false`` the CSV
-puts ``nan`` in its column, making the whole file byte-reproducible, while
-the JSON summary always carries the measured values.
+The generators' seed words are computed in windows of ``_SEED_BLOCK``
+trials by a vectorised port of numpy's ``SeedSequence`` hash, checked
+against numpy once per window (``_trial_rng``).  Each trial's draws still
+come from its own streams, so a trial's result is the same in a block of
+any size, and an exception in a block (a failed draw or estimate) reruns
+the block one trial at a time, so that only the trials at fault fail.
+Every trial runs in the calling thread, in trial order, and each SNR point
+is aggregated before the next starts; ``threads`` is recorded but has no
+effect on the run.  Wall-clock runtime is the one environment-dependent
+quantity; with ``timing = false`` the CSV puts ``nan`` in its column,
+making the whole file byte-reproducible, while the JSON summary always
+carries the measured values.
 
 The per-SNR error metrics declare their ambiguity handling explicitly: the
 per-column (diagonal) scaling shared between the channel estimate and the
@@ -138,7 +140,6 @@ class Scene:
     m: np.ndarray  # inner response (B, N)
     s: np.ndarray  # symbols, or the pilot block (B, T)
     s_idx: np.ndarray | None  # the symbols' alphabet indices; None for pilots
-    x: np.ndarray  # symbol block outer(s, m) (B, T, N)
     f: np.ndarray  # training (B, P, N), or (P, N) when shared by every trial
     y: np.ndarray | None  # received tensor (B, K, T, P); None once estimated
     snr_idx: int
@@ -218,10 +219,12 @@ class _SeedWords(ISeedSequence):
         return self.words
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _checked_block(seed: int, snr_idx: int, start: int) -> np.ndarray | None:
     """``_seed_block(seed, snr_idx, start)``, or None when its first row does
-    not seed the stream ``default_rng`` gives; the last block is kept."""
+    not seed the stream ``default_rng`` gives.  The last two windows are
+    kept: a trial block spans at most two (``_block_size``), and each
+    quantity's draws walk it in trial order."""
     words = _seed_block(seed, snr_idx, start)
     want = np.random.default_rng([seed, snr_idx, start, 0]).bit_generator.state
     if np.random.PCG64(_SeedWords(words[0, 0])).state != want:
@@ -245,12 +248,11 @@ def _trial_rng(seed: int, snr_idx: int, trial: int, tag: int) -> np.random.Gener
     return np.random.Generator(np.random.PCG64(_SeedWords(words[trial - start, tag])))
 
 
-def draw_scene(
-    cfg: ExperimentConfig, snr_db: float, snr_idx: int, trials: range
-) -> Scene:
+def draw_scene(cfg: ExperimentConfig, snr_idx: int, trials: range) -> Scene:
     """Draw the ground truth of a block of trials and build their received
-    tensors at ``snr_db``; a receiver whose ``RECEIVERS`` entry has
-    ``pilots`` sends the pilot block.  A single trial is a block of one."""
+    tensors at the SNR ``snr_grid(cfg)[snr_idx]``; a receiver whose
+    ``RECEIVERS`` entry has ``pilots`` sends the pilot block.  A single
+    trial is a block of one."""
     def rngs(tag: int) -> list[np.random.Generator]:
         return [_trial_rng(cfg.seed, snr_idx, trial, tag) for trial in trials]
 
@@ -269,12 +271,10 @@ def draw_scene(
         f = gen_lorentzian_training(cfg.P, cfg.N, rngs(_TAG_TRAINING))
     else:
         f = gen_dft_training(cfg.P, cfg.N)
-    x = build_rank_one(s, m)
-    noiseless = build_noiseless(h, x, f)
+    noiseless = build_noiseless(h, build_rank_one(s, m), f)
+    snr_db = snr_grid(cfg)[snr_idx]
     y = add_noise(noiseless, snr_db, rngs(_TAG_NOISE), out=noiseless.y).y
-    return Scene(
-        h=h, m=m, s=s, s_idx=s_idx, x=x, f=f, y=y, snr_idx=snr_idx, trials=trials
-    )
+    return Scene(h=h, m=m, s=s, s_idx=s_idx, f=f, y=y, snr_idx=snr_idx, trials=trials)
 
 
 def _proposed(cfg: ExperimentConfig, scene: Scene) -> EstimateReport:
@@ -290,8 +290,7 @@ RECEIVERS = {
     "proposed": Receiver(_proposed),
     "bench-data-aided": Receiver(
         lambda cfg, scene: data_aided_estimate(
-            scene.y, scene.f, x_true=scene.x, h_true=scene.h, m_true=scene.m,
-            s1_ref=scene.s[:, 0],
+            scene.y, scene.f, s_true=scene.s, h_true=scene.h, m_true=scene.m
         ),
         closed_form=True,
         oracle=(
@@ -362,50 +361,41 @@ _BLOCK_BYTES = 1024 * 1024
 
 
 def _block_size(cfg: ExperimentConfig) -> int:
-    return max(1, _BLOCK_BYTES // (16 * cfg.K * cfg.T * cfg.P))
+    """Trials per block: ``_BLOCK_BYTES`` of received tensors, at most a seed
+    window's ``_SEED_BLOCK`` trials, so that a block spans two windows at most."""
+    return max(1, min(_SEED_BLOCK, _BLOCK_BYTES // (16 * cfg.K * cfg.T * cfg.P)))
 
 
+@functools.lru_cache(maxsize=1)
 def _run_block(
-    cfg: ExperimentConfig, snr_db: float, snr_idx: int, trials: range
-) -> list[TrialResult]:
-    """Draw, estimate and score a block of trials; a block that raises runs
-    again one trial at a time, so only the trials at fault fail."""
+    cfg: ExperimentConfig, snr_idx: int, start: int, stop: int
+) -> tuple[TrialResult, ...]:
+    """Draw, estimate and score trials ``start`` to ``stop``; the last block
+    is kept.  A block that raises runs again one trial at a time, so only
+    the trials at fault fail."""
+    trials = range(start, stop)
     try:
-        scene = draw_scene(cfg, snr_db, snr_idx, trials)
+        scene = draw_scene(cfg, snr_idx, trials)
         t0 = time.perf_counter()
         report = estimate(cfg, scene)
         runtime_s = (time.perf_counter() - t0) / len(trials)
     except (GenerationError, EstimationError) as exc:
         if len(trials) == 1:
-            return [TrialResult(failed=type(exc).__name__)]
-        return [
-            result
-            for trial in trials
-            for result in _run_block(cfg, snr_db, snr_idx, range(trial, trial + 1))
-        ]
+            return (TrialResult(failed=type(exc).__name__),)
+        return tuple(_run_block(cfg, snr_idx, trial, trial + 1)[0] for trial in trials)
     # Scoring reads only the ground truth: the received tensors go first.
     scene = dataclasses.replace(scene, y=None)
-    return score(cfg, scene, report, runtime_s)
+    return tuple(score(cfg, scene, report, runtime_s))
 
 
-@functools.lru_cache(maxsize=1)
-def _trial_block(
-    cfg: ExperimentConfig, snr_db: float, snr_idx: int, start: int, stop: int
-) -> tuple[TrialResult, ...]:
-    """The results of trials ``start`` to ``stop``; the last block is kept."""
-    return tuple(_run_block(cfg, snr_db, snr_idx, range(start, stop)))
-
-
-def run_trial(
-    cfg: ExperimentConfig, snr_db: float, snr_idx: int, trial: int
-) -> TrialResult:
-    """One Monte Carlo trial: draw the scene, estimate, score, as part of
-    the block of trials that holds it.  The runtime is the block's
-    estimate-stage wall-clock time, shared evenly among its trials."""
+def run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int) -> TrialResult:
+    """Trial ``trial`` of the SNR point ``snr_idx``: draw the scene, estimate,
+    score, as part of the block of trials that holds it.  The runtime is the
+    block's estimate-stage wall-clock time, shared evenly among its trials."""
     size = _block_size(cfg)
     start = trial - trial % size
     stop = max(min(start + size, cfg.trials), trial + 1)
-    return _trial_block(cfg, snr_db, snr_idx, start, stop)[trial - start]
+    return _run_block(cfg, snr_idx, start, stop)[trial - start]
 
 
 def _aggregate(snr_db: float, trials: list[TrialResult]) -> MetricRow:
@@ -451,10 +441,10 @@ def run_campaign(
     summary.json into ``out_dir``.  Returns one MetricRow per SNR point.
     No trial result is kept from an earlier campaign."""
     validate_config(cfg)
-    _trial_block.cache_clear()
+    _run_block.cache_clear()
     rows = []
     for si, snr in enumerate(snr_grid(cfg)):
-        trials = [run_trial(cfg, snr, si, trial) for trial in range(cfg.trials)]
+        trials = [run_trial(cfg, si, trial) for trial in range(cfg.trials)]
         rows.append(_aggregate(snr, trials))
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

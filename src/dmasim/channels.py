@@ -206,14 +206,15 @@ def gen_lorentzian_training(p: int, n: int, rng) -> np.ndarray:
     )
 
 
-@functools.lru_cache
+@functools.lru_cache(maxsize=1)
 def gen_dft_training(p: int, n: int) -> np.ndarray:
     """Semi-unitary training built from the first n columns of the p-point
     DFT matrix: f[p_idx, n_idx] = exp(-2j*pi*p_idx*n_idx / p).
 
     Satisfies ``f.T @ f.conj() == p * eye(n)`` exactly, which the closed-form
-    estimators rely on.  Requires p >= n.  Deterministic, so it is built
-    once per (p, n) and shared: the returned array is read-only.
+    estimators rely on.  Requires p >= n.  Deterministic, so the last one
+    built is kept and shared (a campaign asks for one (p, n)): the returned
+    array is read-only.
     """
     if p < 1 or n < 1:
         raise ValueError("p and n must be positive")

@@ -146,7 +146,7 @@ def test_pilot_aided_rejects_unnormalised_pilots():
 def test_data_aided_estimate_noiseless_is_exact():
     h, m, s, f, x = _scene(5)
     y = build_noiseless(h, x, f).y
-    rep = data_aided_estimate(y, f, x_true=x, h_true=h, m_true=m, s1_ref=s[0])
+    rep = data_aided_estimate(y, f, s_true=s, h_true=h, m_true=m)
     assert nmse(rep.h_hat, h) < 1e-20
     assert nmse(rep.m_hat, m) < 1e-20
     np.testing.assert_allclose(rep.s_hat, s, atol=1e-10)
@@ -158,7 +158,7 @@ def test_data_aided_estimate_noiseless_is_exact():
 def test_data_aided_estimate_is_the_closed_forms_then_stage_two():
     h, m, s, f, x = _scene(8)
     y = add_noise(build_noiseless(h, x, f), 10.0, np.random.default_rng(80)).y
-    rep = data_aided_estimate(y, f, x_true=x, h_true=h, m_true=m, s1_ref=s[0])
+    rep = data_aided_estimate(y, f, s_true=s, h_true=h, m_true=m)
     m_tilde, h_tilde = oracle_weights(h, m)
     h_hat = semi_unitary_h(unfold_mode1(y), f, x, m_tilde)
     x_hat = semi_unitary_x(unfold_mode2(y), f, h, h_tilde)
@@ -208,9 +208,7 @@ def test_data_aided_estimate_tracks_noise_level():
     errs = []
     for snr in (10.0, 30.0):
         rt = add_noise(build_noiseless(h, x, f), snr, np.random.default_rng(70))
-        rep = data_aided_estimate(
-            rt.y, f, x_true=x, h_true=h, m_true=m, s1_ref=s[0]
-        )
+        rep = data_aided_estimate(rt.y, f, s_true=s, h_true=h, m_true=m)
         errs.append(nmse(rep.h_hat, h))
     # 20 dB more SNR must buy roughly 20 dB lower error (paired noise draw).
     assert 10 * np.log10(errs[0] / errs[1]) == pytest.approx(20.0, abs=1.0)

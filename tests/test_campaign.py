@@ -41,6 +41,7 @@ from dmasim.config import (
     validate_config,
 )
 from dmasim.receiver import EstimateReport, EstimationError
+from dmasim.signals import add_noise, build_noiseless, build_rank_one
 
 
 def _tiny(**over):
@@ -97,10 +98,10 @@ def fresh_blocks():
     """Empty seed-block and trial-block caches, emptied again afterwards, so
     that no block built under a patched constant outlives the test."""
     campaign._checked_block.cache_clear()
-    campaign._trial_block.cache_clear()
+    campaign._run_block.cache_clear()
     yield
     campaign._checked_block.cache_clear()
-    campaign._trial_block.cache_clear()
+    campaign._run_block.cache_clear()
 
 
 def test_trial_rng_serves_every_tag_from_a_checked_block(fresh_blocks):
@@ -124,13 +125,44 @@ def test_a_block_that_fails_its_check_falls_back_to_default_rng(
     assert campaign._checked_block(5, 2, 0) is None
 
 
+_SMALL = dict(K=2, T=2, P=4, N=2, D=1, L=2)  # 4,096 trials in 1 MiB of tensors
+
+
+@pytest.mark.parametrize("receiver,training,geometry", [
+    ("proposed", "lorentzian", {}),
+    ("bench-data-aided", "semi-unitary-dft", {}),
+    ("proposed", "lorentzian", _SMALL),
+], ids=["desk-proposed", "desk-data-aided", "small-proposed"])
+def test_a_point_hashes_each_seed_window_once(
+    monkeypatch, fresh_blocks, receiver, training, geometry
+):
+    # A block spans two seed windows at most, both stay cached while each
+    # quantity's draws walk the block, so 1,000 trials hash four windows.
+    cfg = _tiny(
+        trials=1000, snr_grid_db=(10.0,), receiver=receiver, training=training,
+        **geometry,
+    )
+    starts = []
+    real = campaign._seed_block
+
+    def seed_block(seed, snr_idx, start):
+        starts.append(start)
+        return real(seed, snr_idx, start)
+
+    monkeypatch.setattr(campaign, "_seed_block", seed_block)
+    for trial in range(cfg.trials):
+        run_trial(cfg, 0, trial)
+    assert starts == [0, 256, 512, 768]
+
+
 def test_seeded_block_serves_a_desk_trial_without_seed_sequences(
     monkeypatch, fresh_blocks
 ):
     base, _ = load_config_file(_DESK_CFG)
+    base = dataclasses.replace(base, snr_grid_db=(10.0,))
     size = campaign._block_size(base)
     assert size > 1
-    assert run_trial(base, 10.0, 0, 0).failed is None  # seeds the block
+    assert run_trial(base, 0, 0).failed is None  # seeds the block
     made, seeds = [], []
     for name in ("default_rng", "SeedSequence"):
         real = getattr(np.random, name)
@@ -148,7 +180,7 @@ def test_seeded_block_serves_a_desk_trial_without_seed_sequences(
 
     monkeypatch.setattr(np.random, "PCG64", pcg64)
     # The first trial of the next block of trials runs the whole block.
-    assert run_trial(base, 10.0, 0, size).failed is None
+    assert run_trial(base, 0, size).failed is None
     assert made == []
     # One generator per quantity and trial, each seeded from precomputed words.
     assert seeds == [campaign._SeedWords] * ((campaign._TAG_INIT + 1) * size)
@@ -219,15 +251,17 @@ def test_a_default_desk_block_peaks_near_two_received_tensors(
     fresh_blocks, receiver, training, tensors
 ):
     base, _ = load_config_file(_DESK_CFG)
-    cfg = dataclasses.replace(base, receiver=receiver, training=training)
+    cfg = dataclasses.replace(
+        base, receiver=receiver, training=training, snr_grid_db=(10.0,)
+    )
     size = campaign._block_size(cfg)
     block_bytes = size * 16 * cfg.K * cfg.T * cfg.P
     # The first block fills the seed-word and training-spectrum memos.
-    campaign._run_block(cfg, 10.0, 0, range(size))
+    campaign._run_block(cfg, 0, 0, size)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        campaign._run_block(cfg, 10.0, 0, range(size, 2 * size))
+        campaign._run_block(cfg, 0, size, 2 * size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -244,10 +278,12 @@ def _without_runtime(result: TrialResult) -> str:
 def test_a_trial_inside_a_block_is_that_trial_run_alone(
     monkeypatch, fresh_blocks, receiver, training
 ):
-    cfg = _tiny(trials=9, receiver=receiver, training=training)
-    inside = run_trial(cfg, 10.0, 1, 3)  # the fourth trial of the block 0-8
+    cfg = _tiny(
+        trials=9, snr_grid_db=(0.0, 10.0), receiver=receiver, training=training
+    )
+    inside = run_trial(cfg, 1, 3)  # the fourth trial of the block 0-8
     _block_of(monkeypatch, cfg, 1)
-    alone = run_trial(cfg, 10.0, 1, 3)
+    alone = run_trial(cfg, 1, 3)
     assert inside.failed is None
     assert _without_runtime(inside) == _without_runtime(alone)
 
@@ -279,19 +315,19 @@ def test_a_failing_trial_fails_alone_in_its_block(monkeypatch, fresh_blocks):
         return real(cfg, scene)
 
     monkeypatch.setattr(campaign, "estimate", estimate)
-    results = [run_trial(cfg, 10.0, 0, trial) for trial in range(cfg.trials)]
+    results = [run_trial(cfg, 0, trial) for trial in range(cfg.trials)]
     assert [r.failed for r in results] == [None] * 4 + ["EstimationError", None]
     monkeypatch.setattr(campaign, "estimate", real)
     _block_of(monkeypatch, cfg, 1)
-    alone = [run_trial(cfg, 10.0, 0, trial) for trial in range(cfg.trials)]
+    alone = [run_trial(cfg, 0, trial) for trial in range(cfg.trials)]
     for got, ref in zip(results[:4] + results[5:], alone[:4] + alone[5:]):
         assert _without_runtime(got) == _without_runtime(ref)
 
 
 @pytest.mark.parametrize("receiver,training", _PAIRINGS)
 def test_run_trial_produces_finite_metrics(receiver, training):
-    cfg = _tiny(receiver=receiver, training=training)
-    tr = run_trial(cfg, 15.0, 0, 0)
+    cfg = _tiny(receiver=receiver, training=training, snr_grid_db=(15.0,))
+    tr = run_trial(cfg, 0, 0)
     assert tr.failed is None
     assert math.isfinite(tr.nmse_h) and tr.nmse_h > 0
     assert math.isfinite(tr.nmse_m) and tr.nmse_m > 0
@@ -307,10 +343,12 @@ def test_run_trial_produces_finite_metrics(receiver, training):
 def test_run_trial_draws_the_same_scene_for_every_receiver():
     # Paired comparisons: the channel/inner/noise draws depend only on
     # (seed, snr index, trial, quantity), never on the receiver choice.
-    cfg_a = _tiny(receiver="proposed", training="semi-unitary-dft")
-    cfg_b = _tiny(receiver="bench-data-aided", training="semi-unitary-dft")
-    a = run_trial(cfg_a, 30.0, 1, 2)
-    b = run_trial(cfg_b, 30.0, 1, 2)
+    cfg_a = _tiny(
+        receiver="proposed", training="semi-unitary-dft", snr_grid_db=(0.0, 30.0)
+    )
+    cfg_b = dataclasses.replace(cfg_a, receiver="bench-data-aided")
+    a = run_trial(cfg_a, 1, 2)
+    b = run_trial(cfg_b, 1, 2)
     assert a.failed is None and b.failed is None
     # Same scene, same noise: the data-aided closed form must beat the
     # blind receiver on this very draw (its design matrices are exact).
@@ -318,10 +356,9 @@ def test_run_trial_draws_the_same_scene_for_every_receiver():
 
 
 def test_draw_scene_is_the_same_for_every_receiver():
+    cfg = _tiny(training="semi-unitary-dft", snr_grid_db=(0.0, 10.0))
     scenes = {
-        receiver: draw_scene(
-            _tiny(receiver=receiver, training="semi-unitary-dft"), 10.0, 1, range(2, 4)
-        )
+        receiver: draw_scene(dataclasses.replace(cfg, receiver=receiver), 1, range(2, 4))
         for receiver in RECEIVERS
     }
     ref = scenes["proposed"]
@@ -330,6 +367,24 @@ def test_draw_scene_is_the_same_for_every_receiver():
             np.testing.assert_array_equal(getattr(scene, name), getattr(ref, name))
     # Only the pilot-aided receiver sends another symbol block.
     np.testing.assert_array_equal(scenes["bench-data-aided"].y, ref.y)
+
+
+@pytest.mark.parametrize("noiseless,snr_idx,snr_db", [
+    (False, 1, 10.0), (False, 2, 20.0), (True, 0, math.inf),
+])
+def test_draw_scene_noises_at_the_grid_point_of_its_index(noiseless, snr_idx, snr_db):
+    cfg = _tiny(snr_grid_db=(0.0, 10.0, 20.0), noiseless=noiseless)
+    assert snr_grid(cfg)[snr_idx] == snr_db
+    trials = range(3, 6)
+    scene = draw_scene(cfg, snr_idx, trials)
+    clean = build_noiseless(scene.h, build_rank_one(scene.s, scene.m), scene.f)
+    gens = [_trial_rng(cfg.seed, snr_idx, t, campaign._TAG_NOISE) for t in trials]
+    want = add_noise(clean, snr_db, gens).y
+    assert scene.y.tobytes() == want.tobytes()
+    if noiseless:
+        assert scene.y.tobytes() == clean.y.tobytes()
+    else:
+        assert scene.y.tobytes() != clean.y.tobytes()
 
 
 def test_a_receiver_is_one_table_entry(monkeypatch):
@@ -341,8 +396,11 @@ def test_a_receiver_is_one_table_entry(monkeypatch):
     validate_config(copy)
     with pytest.raises(ConfigError, match="semi-unitary-dft"):
         validate_config(dataclasses.replace(copy, training="lorentzian"))
-    scenes = [draw_scene(cfg, 10.0, 1, range(2)) for cfg in (copy, ref)]
-    for name in ("h", "m", "s", "s_idx", "x", "f", "y"):
+    scenes = [
+        draw_scene(dataclasses.replace(cfg, snr_grid_db=(0.0, 10.0)), 1, range(2))
+        for cfg in (copy, ref)
+    ]
+    for name in ("h", "m", "s", "s_idx", "f", "y"):
         np.testing.assert_array_equal(*(getattr(scene, name) for scene in scenes))
 
     def rows(cfg):  # less the wall clock
@@ -356,8 +414,8 @@ def test_a_receiver_is_one_table_entry(monkeypatch):
 
 
 def test_score_flags_a_zero_channel_column_as_a_degenerate_fit():
-    cfg = _tiny()
-    scene = draw_scene(cfg, 10.0, 0, range(2))
+    cfg = _tiny(snr_grid_db=(10.0,))
+    scene = draw_scene(cfg, 0, range(2))
     exact = EstimateReport(h_hat=scene.h, m_hat=scene.m, s_hat=scene.s)
     assert [tr.failed for tr in score(cfg, scene, exact, 0.0)] == [None, None]
     h_hat = scene.h.copy()
@@ -389,10 +447,10 @@ def test_lorentzian_trial_looks_at_the_training_spectrum_once(
     # rank checks, and its eigenvalues serve every trial's receiver: bals
     # takes none of its own.  F itself is never decomposed (matrix_rank
     # would take its SVD).
-    cfg = _tiny()
+    cfg = _tiny(snr_grid_db=(10.0,))
     size = min(campaign._block_size(cfg), cfg.trials)
     calls = _count_linalg(monkeypatch)
-    assert run_trial(cfg, 10.0, 0, 0).failed is None
+    assert run_trial(cfg, 0, 0).failed is None
     assert calls["eigvalsh"] == [(size, cfg.N, cfg.N)]
     assert calls["matrix_rank"] == []
     assert all(shape[-2:] != (cfg.P, cfg.N) for shape in calls["svd"])
@@ -400,10 +458,10 @@ def test_lorentzian_trial_looks_at_the_training_spectrum_once(
 
 def test_dft_trial_reuses_the_remembered_training_spectrum(monkeypatch, fresh_blocks):
     size = campaign._block_size(_tiny())
-    cfg = _tiny(training="semi-unitary-dft", trials=2 * size)
-    assert run_trial(cfg, 10.0, 0, 0).failed is None
+    cfg = _tiny(training="semi-unitary-dft", trials=2 * size, snr_grid_db=(10.0,))
+    assert run_trial(cfg, 0, 0).failed is None
     calls = _count_linalg(monkeypatch)
-    assert run_trial(cfg, 10.0, 0, size).failed is None  # runs the next block
+    assert run_trial(cfg, 0, size).failed is None  # runs the next block
     assert calls["eigvalsh"] == calls["matrix_rank"] == []
     assert all(shape[-2:] != (cfg.P, cfg.N) for shape in calls["svd"])
 
@@ -486,8 +544,9 @@ def test_extreme_snr_campaigns_print_no_numpy_warning(receiver):
 
 
 def test_run_trial_counts_generation_failures():
-    cfg = _tiny(P=8, training="lorentzian")  # P < N cannot reach full rank
-    tr = run_trial(cfg, 10.0, 0, 0)
+    # P < N cannot reach full rank
+    cfg = _tiny(P=8, training="lorentzian", snr_grid_db=(10.0,))
+    tr = run_trial(cfg, 0, 0)
     assert tr.failed == "GenerationError"
     assert math.isnan(tr.nmse_h)
 
@@ -552,12 +611,13 @@ def test_campaign_with_one_symbol_reports_no_ser(tmp_path):
 
 
 def test_scene_keeps_the_drawn_symbol_indices():
-    scene = draw_scene(_tiny(), 10.0, 1, range(2, 4))
+    cfg = _tiny(snr_grid_db=(0.0, 10.0))
+    scene = draw_scene(cfg, 1, range(2, 4))
     np.testing.assert_array_equal(scene.s, qam_alphabet(64)[scene.s_idx])
-    pilots = draw_scene(
-        _tiny(receiver="bench-pilot-aided", training="semi-unitary-dft"),
-        10.0, 1, range(2, 4),
+    pilot_cfg = dataclasses.replace(
+        cfg, receiver="bench-pilot-aided", training="semi-unitary-dft"
     )
+    pilots = draw_scene(pilot_cfg, 1, range(2, 4))
     assert pilots.s_idx is None
 
 
@@ -579,9 +639,9 @@ def test_campaign_runs_every_trial_on_the_calling_thread(monkeypatch, threads):
     seen = []
     real_trial = campaign.run_trial
 
-    def trial(cfg, snr_db, snr_idx, index):
+    def trial(cfg, snr_idx, index):
         seen.append((threading.get_ident(), snr_idx, index))
-        return real_trial(cfg, snr_db, snr_idx, index)
+        return real_trial(cfg, snr_idx, index)
 
     monkeypatch.setattr(campaign, "run_trial", trial)
     run_campaign(_tiny(threads=threads, trials=3))  # two SNR points

@@ -7,6 +7,7 @@ import warnings
 
 import pytest
 
+from dmasim import channels
 from dmasim.campaign import run_campaign
 from dmasim.config import (
     MAX_SNR_POINTS,
@@ -250,6 +251,16 @@ def test_validate_rejects_dft_training_shorter_than_n():
             validate_config(cfg)
     square = dataclasses.replace(ExperimentConfig(), P=16, training="semi-unitary-dft")
     assert validate_config(square) == []
+
+
+def test_validating_two_dft_geometries_keeps_one_training():
+    # validate_config builds the DFT training it checks; a sweep of
+    # geometries must not keep one training per geometry.
+    for p in (32, 64):
+        cfg = dataclasses.replace(ExperimentConfig(), P=p, training="semi-unitary-dft")
+        assert validate_config(cfg) == []
+    assert channels.gen_dft_training.cache_info().currsize == 1
+    assert channels.gen_dft_training(64, 16) is channels.gen_dft_training(64, 16)
 
 
 def test_validate_accepts_underflow_only_where_no_weight_needs_it():

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import warnings
 
@@ -337,11 +338,12 @@ def test_desk_trial_calls_no_numpy_solve_and_warns_nothing(snr_db, monkeypatch):
     # no floating-point warning.
     cfg, _ = load_config_file(_DESK_CFG)
     assert (cfg.receiver, cfg.training) == ("proposed", "lorentzian")
+    cfg = dataclasses.replace(cfg, snr_grid_db=(snr_db,))
     solve_calls = _count_calls(monkeypatch, np.linalg, "solve")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for trial in range(3):
-            assert run_trial(cfg, snr_db, 0, trial).failed is None
+            assert run_trial(cfg, 0, trial).failed is None
     assert solve_calls == []
 
 

@@ -209,9 +209,7 @@ def test_closed_forms_on_a_stack_are_each_trials():
     data, pilot = _stack(19, "semi-unitary-dft"), _stack(19, "semi-unitary-dft", True)
     f = data["f"]
     stacked = [
-        data_aided_estimate(
-            data["y"], f, data["x"], data["h"], data["m"], data["s"][:, 0]
-        ),
+        data_aided_estimate(data["y"], f, data["s"], data["h"], data["m"]),
         pilot_aided_estimate(pilot["y"], f, pilot["h"], pilot["m"], pilot["s"]),
     ]
     m_tilde, h_tilde = oracle_weights(data["h"], data["m"])
@@ -225,7 +223,7 @@ def test_closed_forms_on_a_stack_are_each_trials():
         d, p = _trial(data, i), _trial(pilot, i)
         m_i, h_i = oracle_weights(d["h"], d["m"])
         singles = [
-            data_aided_estimate(d["y"], f, d["x"], d["h"], d["m"], d["s"][0]),
+            data_aided_estimate(d["y"], f, d["s"], d["h"], d["m"]),
             pilot_aided_estimate(p["y"], f, p["h"], p["m"], p["s"]),
         ]
         for report, one in zip(stacked, singles):
