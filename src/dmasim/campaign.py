@@ -248,14 +248,21 @@ def _trial_rng(seed: int, snr_idx: int, trial: int, tag: int) -> np.random.Gener
     return np.random.Generator(np.random.PCG64(_SeedWords(words[trial - start, tag])))
 
 
+def _check_key(cfg: ExperimentConfig, snr_idx: int, trial: int) -> None:
+    points = len(snr_grid(cfg))
+    if not (0 <= snr_idx < points and trial >= 0):
+        raise ValueError(f"no trial {trial} at SNR index {snr_idx} (grid of {points})")
+
+
 def draw_scene(cfg: ExperimentConfig, snr_idx: int, trials: range) -> Scene:
     """Draw the ground truth of a block of trials and build their received
     tensors at the SNR ``snr_grid(cfg)[snr_idx]``; a receiver whose
     ``RECEIVERS`` entry has ``pilots`` sends the pilot block.  A single
-    trial is a block of one."""
+    trial is a block of one.  An index off the grid or below 0 raises ValueError."""
     def rngs(tag: int) -> list[np.random.Generator]:
         return [_trial_rng(cfg.seed, snr_idx, trial, tag) for trial in trials]
 
+    _check_key(cfg, snr_idx, min(trials, default=0))
     h = gen_wireless(cfg.K, cfg.N, rngs(_TAG_CHANNEL))
     if cfg.inner_model == "physical":
         m = gen_inner_physical(cfg.D, cfg.L, cfg.alpha, cfg.beta, cfg.spacing)
@@ -392,6 +399,7 @@ def run_trial(cfg: ExperimentConfig, snr_idx: int, trial: int) -> TrialResult:
     """Trial ``trial`` of the SNR point ``snr_idx``: draw the scene, estimate,
     score, as part of the block of trials that holds it.  The runtime is the
     block's estimate-stage wall-clock time, shared evenly among its trials."""
+    _check_key(cfg, snr_idx, trial)
     size = _block_size(cfg)
     start = trial - trial % size
     stop = max(min(start + size, cfg.trials), trial + 1)

@@ -124,8 +124,8 @@ def training_spectrum(f: np.ndarray) -> tuple:
 # Certified full column rank (see full_column_rank): the eigenvalue ratio must
 # clear the rounding terms by this factor.
 _RANK_MARGIN = 1e4
-# Below this the Gram's entries may have lost relative accuracy to underflow.
-_RANK_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
+# Below this a Gram's entries may have lost relative accuracy to underflow.
+UNDERFLOW_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 
 def full_column_rank(f: np.ndarray):
@@ -165,7 +165,7 @@ def full_column_rank(f: np.ndarray):
     tau = 2.0 * max(p, n) * eps
     _, low, high = training_spectrum(f)
     bound = _RANK_MARGIN * (kappa + tau * tau)
-    full = np.array((low >= _RANK_FLOOR) & (bound * high <= low))
+    full = np.array((low >= UNDERFLOW_FLOOR) & (bound * high <= low))
     for i in np.flatnonzero(~full):  # the certificate declined
         full.reshape(-1)[i] = np.linalg.matrix_rank(f.reshape(-1, p, n)[i]) == n
     return full.item() if full.ndim == 0 else full

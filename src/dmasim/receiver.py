@@ -7,7 +7,7 @@ symbol vector and an inner-response vector through its dominant singular
 triplet, and a single known reference symbol removes the residual scalar
 ambiguity.  Stage two, and the receiver as a whole, also take a stack of
 trials along leading axes: each trial's alternating-LS fit runs alone,
-and stage two runs once on the stacked fits.
+and stage two runs once on the stacked fits.  ``bals`` draws nothing.
 """
 
 import math
@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .channels import training_spectrum
+from .channels import UNDERFLOW_FLOOR, gen_wireless, training_spectrum
 from .tensor_ops import khatri_rao, parafac_build, pinv, unfold_mode1, unfold_mode2
 
 
@@ -43,9 +43,8 @@ CHOLESKY_DIAG_RATIO = 1e-3
 # diagonal test; certifying at ten times that leaves a margin for roundoff.
 # _SCHUR_PIVOT_MARGIN is the largest max_i G_ii / (lambda_min(F^T F*) min_i
 # B_ii) so certified.  The lower bound must also stay clear of the subnormal
-# range, where the Gram's entries lose relative accuracy.
+# range, where the Gram's entries lose relative accuracy (UNDERFLOW_FLOOR).
 _SCHUR_PIVOT_MARGIN = 1 / (10 * CHOLESKY_DIAG_RATIO**2)
-_SCHUR_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 # A normalised residual at or below this is an exact fit and stops the run,
 # which also keeps the relative test off a zero denominator on noiseless data.
 EPS_FLOOR = 1e-12
@@ -63,14 +62,12 @@ class BalsConfig:
     ``tol`` stops the iteration once the relative change of the normalised
     residual falls below it (or the residual itself below ``EPS_FLOOR``).
     ``rcond`` is the singular-value cutoff of the pseudo-inverse fallback
-    only; the normal equations do not use it.  ``init`` optionally pins the
-    symbol-block starting point instead of a random draw.
+    only; the normal equations do not use it.
     """
 
     max_iters: int = 1000
     tol: float = 1e-6
     rcond: float = 1e-12
-    init: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -119,7 +116,7 @@ def _schur_certified(
     # the arithmetic.  min and max may skip a NaN; the sum keeps it.
     low = gf_min * min(factor_diag)
     return (
-        low >= _SCHUR_FLOOR
+        low >= UNDERFLOW_FLOOR
         and max(gram_diag) <= _SCHUR_PIVOT_MARGIN * low
         and sum(factor_diag) < math.inf
     )
@@ -271,11 +268,11 @@ def _stop(
 def bals(
     y: np.ndarray,
     f: np.ndarray,
+    start: np.ndarray,
     cfg: BalsConfig | None = None,
-    rng: np.random.Generator | None = None,
     spectrum: tuple | None = None,
 ) -> BalsResult:
-    """Alternating least-squares fit of (H, X) given the received block and F.
+    """Alternating-LS fit of (H, X) given the received block, F and a start.
 
     Each half-step solves its N x N normal equations, guarded by a Cholesky
     factor unless the Schur bound certifies the Gram, and falls back to
@@ -290,9 +287,8 @@ def bals(
     ----------
     y : (K, T, P) received block.
     f : (P, N) known training matrix.
+    start : (T, N) symbol block the first channel half-step solves against.
     cfg : solver knobs; defaults to ``BalsConfig()``.
-    rng : source for the random symbol-block initialisation; required unless
-        ``cfg.init`` is given.
     spectrum : ``training_spectrum(f)``, when the caller already has it.
 
     Returns
@@ -318,16 +314,9 @@ def bals(
     ynorm = float(np.linalg.norm(y))
     if ynorm == 0.0:
         raise EstimationError("received block is identically zero")
-    if cfg.init is not None:
-        if cfg.init.shape != (t, n):
-            raise ValueError(f"init must have shape {(t, n)}, got {cfg.init.shape}")
-        x_hat = np.array(cfg.init, dtype=complex)
-    else:
-        if rng is None:
-            raise ValueError("rng is required when no init is supplied")
-        x_hat = (
-            rng.standard_normal((t, n)) + 1j * rng.standard_normal((t, n))
-        ) / np.sqrt(2.0)
+    if start.shape != (t, n):
+        raise ValueError(f"start must have shape {(t, n)}, got {start.shape}")
+    x_hat = np.array(start, dtype=complex)
 
     # Normal-equation form of both half-steps (Kolda & Bader, SIAM Review
     # 2009, sec. 3.4): the Gram of khatri_rao(F, X) is (F^T F*) o (X^T X*),
@@ -478,19 +467,21 @@ def two_stage_estimate(
 
     A (..., K, T, P) stack of received blocks takes a training shared by
     all trials or one per trial (..., P, N), one reference symbol per trial
-    and a sequence of generators, one per trial.  Each trial's
-    alternating-LS stage runs alone, on its own slice of the training's
-    spectrum; stage two runs once on the stack.
+    and a sequence of generators, one per trial; ``rng`` is required.  One
+    ``gen_wireless`` call draws every trial's (T, N) start from its own
+    generator.  Each trial's alternating-LS stage runs alone, on its own
+    slice of the training's spectrum; stage two runs once on the stack.
     """
+    if rng is None:
+        raise ValueError("rng is required: it draws the solver's start")
     *lead, k, t, _ = y.shape
     spectrum = training_spectrum(f)
-    trials = list(np.ndindex(*lead))
-    gens = rng if lead and rng is not None else [rng] * len(trials)
+    starts = gen_wireless(t, f.shape[-1], rng).reshape(*lead, t, f.shape[-1])
     fits = []
-    for i, gen in zip(trials, gens):
+    for i in np.ndindex(*lead):
         j = () if f.ndim == 2 else i  # a shared training, or this trial's
         fits.append(bals(
-            y[i], f[j], cfg=cfg, rng=gen, spectrum=[part[j] for part in spectrum]
+            y[i], f[j], starts[i], cfg=cfg, spectrum=[part[j] for part in spectrum]
         ))
     split = split_and_anchor(
         np.stack([fit.x_hat for fit in fits]).reshape(*lead, t, -1), s1_ref

@@ -387,6 +387,24 @@ def test_draw_scene_noises_at_the_grid_point_of_its_index(noiseless, snr_idx, sn
         assert scene.y.tobytes() != clean.y.tobytes()
 
 
+def test_an_out_of_range_trial_key_is_rejected_before_any_draw(
+    monkeypatch, fresh_blocks
+):
+    # A negative index failed inside numpy's seeding, and an SNR index past
+    # the grid only after its whole block was drawn and built.
+    cfg = _tiny()  # a grid of two points
+    with monkeypatch.context() as drawless:
+        drawless.setattr(campaign, "_trial_rng", lambda *key: pytest.fail(f"drew {key}"))
+        for snr_idx, trial in [(-1, 0), (2, 0), (0, -1)]:
+            named = rf"no trial {trial} at SNR index {snr_idx} \(grid of 2\)"
+            with pytest.raises(ValueError, match=named):
+                run_trial(cfg, snr_idx, trial)
+            with pytest.raises(ValueError, match=named):
+                draw_scene(cfg, snr_idx, range(trial, trial + 2))
+    # A trial index past the campaign's count names a stream of its own.
+    assert run_trial(cfg, 1, cfg.trials).failed is None
+
+
 def test_a_receiver_is_one_table_entry(monkeypatch):
     # A fourth receiver costs one RECEIVERS entry: validation, the scene, the
     # estimate and the summary's oracle notes all read it from the table.

@@ -51,7 +51,7 @@ def _scene(seed, k=4, t=8, p=12, n=6, order=16):
 def test_bals_noiseless_recovers_the_bilinear_factors():
     h, m, s, f, x = _scene(0)
     y = build_noiseless(h, x, f).y
-    res = bals(y, f, rng=np.random.default_rng(1))
+    res = bals(y, f, gen_wireless(8, 6, np.random.default_rng(1)))
     assert res.converged
     assert res.residuals[-1] <= 1e-12
     # Factors agree up to the shared diagonal: fix it column by column.
@@ -63,7 +63,7 @@ def test_bals_noiseless_recovers_the_bilinear_factors():
 def test_bals_residual_trace_is_monotone_under_noise():
     h, m, s, f, x = _scene(3)
     rt = add_noise(build_noiseless(h, x, f), 10.0, np.random.default_rng(5))
-    res = bals(rt.y, f, rng=np.random.default_rng(6))
+    res = bals(rt.y, f, gen_wireless(8, 6, np.random.default_rng(6)))
     trace = np.asarray(res.residuals)
     assert np.all(np.diff(trace) <= 1e-14)
 
@@ -71,35 +71,37 @@ def test_bals_residual_trace_is_monotone_under_noise():
 def test_bals_with_truth_init_stops_immediately():
     h, m, s, f, x = _scene(4)
     y = build_noiseless(h, x, f).y
-    res = bals(y, f, cfg=BalsConfig(init=x))
+    res = bals(y, f, x)
     assert res.converged
     assert len(res.residuals) <= 2
     assert res.residuals[-1] <= 1e-12
 
 
-def test_bals_requires_an_rng_or_an_init():
+def test_two_stage_estimate_requires_an_rng():
+    # The generator draws the solver's start; bals itself draws nothing.
     h, m, s, f, x = _scene(5)
     y = build_noiseless(h, x, f).y
     with pytest.raises(ValueError):
-        bals(y, f)
+        two_stage_estimate(y, f, s[0])
 
 
 def test_bals_rejects_zero_tensor_and_bad_shapes():
     f = gen_lorentzian_training(12, 6, np.random.default_rng(0))
+    x0 = gen_wireless(8, 6, np.random.default_rng(0))
     with pytest.raises(EstimationError):
-        bals(np.zeros((4, 8, 12), dtype=complex), f, rng=np.random.default_rng(0))
+        bals(np.zeros((4, 8, 12), dtype=complex), f, x0)
     with pytest.raises(ValueError):
-        bals(np.zeros((4, 8), dtype=complex), f, rng=np.random.default_rng(0))
+        bals(np.zeros((4, 8), dtype=complex), f, x0)
     with pytest.raises(ValueError):
-        bals(
-            np.ones((4, 8, 11), dtype=complex), f, rng=np.random.default_rng(0)
-        )
+        bals(np.ones((4, 8, 11), dtype=complex), f, x0)
+    with pytest.raises(ValueError, match="start"):
+        bals(np.ones((4, 8, 12), dtype=complex), f, x0[:, :5])
 
 
 def test_bals_survives_pure_noise_input():
     f = gen_lorentzian_training(12, 6, np.random.default_rng(1))
     y = rand_cn(np.random.default_rng(2), 4, 8, 12)
-    res = bals(y, f, rng=np.random.default_rng(3))
+    res = bals(y, f, gen_wireless(8, 6, np.random.default_rng(3)))
     assert np.all(np.isfinite(res.residuals))
     assert np.all(np.isfinite(res.h_hat))
     assert np.all(np.isfinite(res.x_hat))
@@ -108,7 +110,8 @@ def test_bals_survives_pure_noise_input():
 def test_bals_iteration_cap_is_respected():
     h, m, s, f, x = _scene(6)
     rt = add_noise(build_noiseless(h, x, f), 0.0, np.random.default_rng(7))
-    res = bals(rt.y, f, cfg=BalsConfig(max_iters=3, tol=0.0), rng=np.random.default_rng(8))
+    x0 = gen_wireless(8, 6, np.random.default_rng(8))
+    res = bals(rt.y, f, x0, cfg=BalsConfig(max_iters=3, tol=0.0))
     assert len(res.residuals) == 3
     assert not res.converged
 
@@ -120,7 +123,7 @@ def test_bals_rejects_fewer_than_one_iteration(max_iters):
     y = build_noiseless(h, x, f).y
     cfg = BalsConfig(max_iters=max_iters)
     with pytest.raises(ValueError, match="max_iters"):
-        bals(y, f, cfg=cfg, rng=np.random.default_rng(8))
+        bals(y, f, gen_wireless(8, 6, np.random.default_rng(8)), cfg=cfg)
     with pytest.raises(ValueError, match="max_iters"):
         two_stage_estimate(y, f, s[0], cfg=cfg, rng=np.random.default_rng(8))
 
@@ -163,7 +166,7 @@ def _with_nan(a, index):
         pytest.param(
             lambda: bals(
                 np.ones((4, 8, 12), complex), _with_nan(gen_dft_training(12, 6), (3, 2)),
-                rng=np.random.default_rng(51),
+                gen_wireless(8, 6, np.random.default_rng(51)),
             ),
             EstimationError, "pseudo-inverse failed at iteration 1",
             id="bals-training",
@@ -194,7 +197,7 @@ def _count_calls(monkeypatch, owner, name):
 def _assert_matches_oracle(y, f, x0, **kw):
     """Same iteration count, residual trace and fitted model as the pinv
     reference ALS from the same start."""
-    res = bals(y, f, cfg=BalsConfig(init=x0, **kw))
+    res = bals(y, f, x0, cfg=BalsConfig(**kw))
     h_ref, x_ref, trace_ref, conv_ref = bals_pinv_oracle(y, f, x0, **kw)
     assert len(res.residuals) == len(trace_ref)
     np.testing.assert_allclose(res.residuals, trace_ref, rtol=0, atol=1e-12)
@@ -376,7 +379,7 @@ def test_bals_skips_the_cholesky_guard_under_dft_training(monkeypatch):
     f = gen_dft_training(32, 16)
     rt = add_noise(build_noiseless(h, x, f), 10.0, np.random.default_rng(38))
     chol_calls = _count_calls(monkeypatch, np.linalg, "cholesky")
-    res = bals(rt.y, f, rng=np.random.default_rng(39))
+    res = bals(rt.y, f, gen_wireless(10, 16, np.random.default_rng(39)))
     assert res.converged
     assert chol_calls == []
 
@@ -389,10 +392,10 @@ def test_bals_certificate_changes_no_bit(seed, snr_db, monkeypatch):
     h, m, s, f, x = _scene(seed, k=8, t=10, p=32, n=16, order=64)
     rt = add_noise(build_noiseless(h, x, f), snr_db, np.random.default_rng(seed + 100))
     chol_calls = _count_calls(monkeypatch, np.linalg, "cholesky")
-    on = bals(rt.y, f, rng=np.random.default_rng(seed + 200))
+    on = bals(rt.y, f, gen_wireless(10, 16, np.random.default_rng(seed + 200)))
     certified_chol = len(chol_calls)
     monkeypatch.setattr(receiver, "_schur_certified", lambda *diags: False)
-    off = bals(rt.y, f, rng=np.random.default_rng(seed + 200))
+    off = bals(rt.y, f, gen_wireless(10, 16, np.random.default_rng(seed + 200)))
     assert len(chol_calls) - certified_chol == 2 * len(off.residuals)
     assert certified_chol < 2 * len(on.residuals)
     np.testing.assert_array_equal(on.h_hat, off.h_hat)
@@ -408,9 +411,9 @@ def test_bals_on_a_drawn_training_reuses_its_spectrum(snr_db, monkeypatch):
     h, m, s, f, x = _scene(44, k=8, t=10, p=32, n=16, order=64)
     rt = add_noise(build_noiseless(h, x, f), snr_db, np.random.default_rng(45))
     eig_calls = _count_calls(monkeypatch, np.linalg, "eigvalsh")
-    drawn = bals(rt.y, f, rng=np.random.default_rng(46))
+    drawn = bals(rt.y, f, gen_wireless(10, 16, np.random.default_rng(46)))
     assert eig_calls == []
-    copied = bals(rt.y, f.copy(), rng=np.random.default_rng(46))
+    copied = bals(rt.y, f.copy(), gen_wireless(10, 16, np.random.default_rng(46)))
     assert len(eig_calls) == 1
     for name in ("h_hat", "x_hat", "residuals"):
         assert getattr(drawn, name).tobytes() == getattr(copied, name).tobytes()
@@ -434,12 +437,12 @@ def test_bals_residual_trace_is_the_full_model_misfit(p, snr_db):
     h, m, s, f, x = _scene(32, p=p)
     rt = add_noise(build_noiseless(h, x, f), snr_db, np.random.default_rng(33))
     x0 = rand_cn(np.random.default_rng(34), 8, 6)
-    res = bals(rt.y, f, cfg=BalsConfig(init=x0))
+    res = bals(rt.y, f, x0)
     # Noiseless data reach the exact fit in two iterations.
     assert len(res.residuals) > (1 if snr_db is None else 3)
     ynorm = np.linalg.norm(rt.y)
     for cap in range(1, len(res.residuals) + 1):
-        part = bals(rt.y, f, cfg=BalsConfig(init=x0, max_iters=cap))
+        part = bals(rt.y, f, x0, cfg=BalsConfig(max_iters=cap))
         misfit = np.linalg.norm(rt.y - parafac_build(part.h_hat, part.x_hat, f))
         assert abs(res.residuals[cap - 1] - misfit / ynorm) <= 1e-12
         assert part.residuals[-1] == res.residuals[cap - 1]
@@ -453,11 +456,12 @@ def test_bals_forms_no_qr_and_checks_the_exact_fit_explicitly(monkeypatch):
     qr_calls = _count_calls(monkeypatch, np.linalg, "qr")
     misfit_calls = _count_calls(monkeypatch, receiver, "_misfit")
     noisy = add_noise(build_noiseless(h, x, f), 10.0, np.random.default_rng(45))
-    res = bals(noisy.y, f, rng=np.random.default_rng(46))
+    x0 = gen_wireless(10, 16, np.random.default_rng(46))
+    res = bals(noisy.y, f, x0)
     assert res.converged
     assert len(misfit_calls) < len(res.residuals)
     before = len(misfit_calls)
-    res = bals(build_noiseless(h, x, f).y, f, rng=np.random.default_rng(46))
+    res = bals(build_noiseless(h, x, f).y, f, x0)
     assert res.converged and res.residuals[-1] <= 1e-12
     assert len(misfit_calls) > before
     assert qr_calls == []
@@ -479,11 +483,11 @@ def test_bals_non_finite_block_raises_at_its_iteration(nan_call, monkeypatch):
 
     monkeypatch.setattr(receiver, "_normal_solve", poisoned)
     with pytest.raises(EstimationError, match=rf"iteration {(nan_call + 1) // 2}\b"):
-        bals(rt.y, f, rng=np.random.default_rng(49))
+        bals(rt.y, f, gen_wireless(8, 6, np.random.default_rng(49)))
     y = rt.y.copy()
     y[0, 0, 0] = np.nan
     with pytest.raises(EstimationError, match="iteration 1"):
-        bals(y, f, rng=np.random.default_rng(49))
+        bals(y, f, gen_wireless(8, 6, np.random.default_rng(49)))
 
 
 def _exact_misfit(y, h, x, f):
@@ -584,7 +588,7 @@ def test_bals_noiseless_stops_on_the_exact_fit_floor(p):
     h, m, s, f, x = _scene(35, p=p)
     y = build_noiseless(h, x, f).y
     cfg = BalsConfig(tol=0.0)  # only the EPS_FLOOR test can stop the run
-    res = bals(y, f, cfg=cfg, rng=np.random.default_rng(36))
+    res = bals(y, f, gen_wireless(8, 6, np.random.default_rng(36)), cfg=cfg)
     assert res.converged
     assert len(res.residuals) < cfg.max_iters
     assert res.residuals[-1] <= receiver.EPS_FLOOR
