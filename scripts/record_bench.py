@@ -13,7 +13,11 @@ the trials per CPU second of one pass per seed, run in this process by
 per-layer values of one ``bench/run.py --trace 1`` run at the first seed.
 The machine facts come from that run's report line: nproc, Python, numpy,
 BLAS name and version, the BLAS thread environment, the git sha and the
-sha256 of ``src/``.
+sha256 of ``src/``.  Last, it runs the checkout's reference campaign
+(``configs/reference.cfg``, with ``timing = false``) once through its own
+CLI, in a fresh interpreter with BLAS pinned as the checkout's
+``bench/workloads.py`` says, and keeps that process's wall and CPU
+seconds, its own peak RSS, the failed trials and the sha256 of its CSV.
 
 ``CHECKOUT`` defaults to the repository holding this script; it must be
 a git checkout, since the file is named after its sha.  Only the output
@@ -21,11 +25,16 @@ file is written; ``bench/`` is only read.
 """
 
 import argparse
+import csv
 import datetime
+import hashlib
 import importlib.util
 import json
 import os
+import subprocess
 import sys
+import tempfile
+import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.dont_write_bytecode = True  # leave no cache in scripts/ or the checkout
@@ -36,6 +45,7 @@ paired_bench = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(paired_bench)
 
 SEEDS = list(range(10))
+REFERENCE_CONFIG = os.path.join("configs", "reference.cfg")
 
 
 def spread(values: list[float]) -> dict:
@@ -64,11 +74,55 @@ def summarise(results: list[dict], metrics: list[dict]) -> dict:
     }
 
 
+def reference_runner(checkout: str, config: str = REFERENCE_CONFIG):
+    """A function ``() -> dict`` that runs ``config`` (relative to
+    ``checkout``) once with ``timing = false``, as ``dmasim run`` from the
+    checkout's ``src/`` in a fresh interpreter with BLAS pinned as its
+    ``bench/workloads.py`` says.  It returns that process's wall and CPU
+    seconds and peak RSS, the failed trials and the sha256 of its CSV."""
+    workloads = paired_bench._import_file(
+        "workloads_reference", os.path.join(checkout, "bench", "workloads.py")
+    )
+    env = {**os.environ, **workloads.BLAS_THREAD_ENV,
+           "PYTHONPATH": os.path.join(checkout, "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def run() -> dict:
+        with open(os.path.join(checkout, config), encoding="utf-8") as fh:
+            lines = [line for line in fh.read().splitlines()
+                     if line.split("#", 1)[0].split("=", 1)[0].strip() != "timing"]
+        with tempfile.TemporaryDirectory() as out:
+            path = os.path.join(out, "reference.cfg")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines + ["timing = false"]) + "\n")
+            t0 = time.perf_counter()
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "dmasim.cli", "run", path, "--out", out],
+                cwd=out, env=env, stdout=subprocess.DEVNULL,
+            )
+            # wait4 reaps the child and returns its own resource usage.
+            _, status, usage = os.wait4(proc.pid, 0)
+            wall_s = time.perf_counter() - t0
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            if proc.returncode != 0:
+                raise RuntimeError(f"{config}: dmasim run exited {proc.returncode}")
+            with open(os.path.join(out, "results.csv"), "rb") as fh:
+                text = fh.read()
+        rows = csv.DictReader(text.decode().splitlines()[1:])  # after the meta line
+        return {"config": config, "wall_s": wall_s,
+                "cpu_s": usage.ru_utime + usage.ru_stime,
+                "peak_rss_mb": usage.ru_maxrss / 1024.0,  # ru_maxrss is in KiB
+                "failed": sum(int(row["failed"]) for row in rows),
+                "csv_sha256": hashlib.sha256(text).hexdigest()}
+
+    return run
+
+
 def record(benchmark: dict, workloads: list[str], seeds: list[int],
-           run, trace, cpu) -> dict:
+           run, trace, cpu, reference) -> dict:
     """The BENCH document.  ``run(workload, seed)`` returns a ``bench/run.py``
-    result line, ``trace(workload, seed)`` a traced run's (report, result)
-    and ``cpu(workload, seed)`` a ``cpu_runner`` result."""
+    result line, ``trace(workload, seed)`` a traced run's (report, result),
+    ``cpu(workload, seed)`` a ``cpu_runner`` result and ``reference()`` a
+    ``reference_runner`` result, taken once after every workload."""
     doc = {"workloads": {}}
     for workload in workloads:
         report, traced = trace(workload, seeds[0])
@@ -90,6 +144,7 @@ def record(benchmark: dict, workloads: list[str], seeds: list[int],
             "per_layer": {"seed": seeds[0], "correct": traced["correct"],
                           "metrics": traced["metrics"]},
         }
+    doc["reference"] = reference()
     return doc
 
 
@@ -116,6 +171,7 @@ def main(argv=None) -> int:
         run=lambda w, s: paired_bench.bench_run(checkout, w, s, benchmark["run_seconds"]),
         trace=lambda w, s: paired_bench.bench_lines(checkout, w, s, "--trace", "1"),
         cpu=paired_bench.cpu_runner(checkout, "recorded"),
+        reference=reference_runner(checkout),
     )
     doc = {"recorded_at": started.isoformat(timespec="seconds"),
            "settings": {"seeds": SEEDS, "seconds": benchmark["run_seconds"]},

@@ -5,10 +5,11 @@ least-squares updates of the iterative receiver collapse to single matched
 filters: the Gram matrix to invert becomes diagonal, with entries read off
 the column energies of the other factor.  The functions here implement
 those collapsed forms as the receiver's own half-step right-hand side
-(``receiver.conj_rhs``) times the diagonal inverse Gram.  The kernels
-take the training-contracted block ``Y F*`` (``receiver.contract_training``),
-which the composed estimators form once per received block; the public
-closed forms on unfoldings fold their input back and call the same kernels.
+(``receiver.conj_rhs``) times the diagonal inverse Gram.  One kernel,
+``_matched_filter``, takes the training-contracted block ``Y F*``
+(``receiver.contract_training``), which the composed estimators form once
+per received block; the public closed forms on unfoldings fold their input
+back and call the same kernel.
 Every estimator here also takes a stack of trials along leading axes, with
 a training shared by all of them or one per trial, and filters the whole
 stack at once.
@@ -78,26 +79,17 @@ def _unfolded_yf(y_unf: np.ndarray, mode: int, f: np.ndarray) -> np.ndarray:
     return contract_training(y, f)
 
 
-# The kernels: the receiver's half-step right-hand side (conj_rhs) on
-# ``yf = Y F*`` times the diagonal inverse Gram, the weight vector.
-def _channel_filter(
-    yf: np.ndarray, f: np.ndarray, x: np.ndarray, m_tilde: np.ndarray,
-    s_energy: float,
+# The closed-form rule: conj_rhs on yf = Y F* times the diagonal inverse Gram
+# tilde / (P * energy).  energy is ||s||^2, per trial, of the symbols or pilots
+# in factor or contracted out of yf; 1 when neither holds any.
+def _matched_filter(
+    yf: np.ndarray, f: np.ndarray, factor: np.ndarray, mode: int,
+    tilde: np.ndarray, name: str, energy: np.ndarray | int = 1,
 ) -> np.ndarray:
     p = _check_semi_unitary(f)
-    m_tilde = _check_weights(m_tilde, "m_tilde")
-    # s_energy: ||s||^2 of the symbols (or pilots) s in x = outer(s, m), per trial
-    weights = m_tilde / (p * np.expand_dims(s_energy, -1))
-    return conj_rhs(yf, x.conj(), 1) * weights[..., None, :]
-
-
-def _symbol_filter(
-    yf: np.ndarray, f: np.ndarray, h: np.ndarray, h_tilde: np.ndarray, t: int = 1
-) -> np.ndarray:
-    p = _check_semi_unitary(f)
-    h_tilde = _check_weights(h_tilde, "h_tilde")
-    # t: the pilot block's squared norm, when its symbols are contracted out
-    return conj_rhs(yf, h.conj(), 2) * (h_tilde / (p * t))[..., None, :]
+    tilde = _check_weights(tilde, name)
+    weights = tilde / (p * np.expand_dims(energy, -1))
+    return conj_rhs(yf, factor.conj(), mode) * weights[..., None, :]
 
 
 def _symbol_energy(x: np.ndarray, m_tilde: np.ndarray) -> np.ndarray:
@@ -120,14 +112,14 @@ def semi_unitary_h(
     """
     m_tilde = _check_weights(m_tilde, "m_tilde")  # before dividing by it
     yf = _unfolded_yf(y1, 1, f)
-    return _channel_filter(yf, f, x, m_tilde, _symbol_energy(x, m_tilde))
+    return _matched_filter(yf, f, x, 1, m_tilde, "m_tilde", _symbol_energy(x, m_tilde))
 
 
 def semi_unitary_x(
     y2: np.ndarray, f: np.ndarray, h: np.ndarray, h_tilde: np.ndarray
 ) -> np.ndarray:
     """Symbol-block estimate ``Y2 @ conj(KR(F, H)) @ diag(h_tilde) / P``."""
-    return _symbol_filter(_unfolded_yf(y2, 2, f), f, h, h_tilde)
+    return _matched_filter(_unfolded_yf(y2, 2, f), f, h, 2, h_tilde, "h_tilde")
 
 
 def pilot_aided_h(
@@ -140,7 +132,8 @@ def pilot_aided_h(
     """Channel estimate from an all-pilot block:
     ``Y1 @ conj(KR(F, outer(pilots, m))) @ diag(m_tilde) / (P*T)``."""
     x = build_rank_one(pilots, m)
-    return _channel_filter(_unfolded_yf(y1, 1, f), f, x, m_tilde, _check_pilots(pilots))
+    yf = _unfolded_yf(y1, 1, f)
+    return _matched_filter(yf, f, x, 1, m_tilde, "m_tilde", _check_pilots(pilots))
 
 
 def pilot_aided_m(
@@ -158,7 +151,8 @@ def pilot_aided_m(
     t = _check_pilots(pilots)
     # Contracting the pilots first leaves a mode-2 unfolding with one row.
     y2s = pilots.conj()[..., None, :] @ y2
-    return _symbol_filter(_unfolded_yf(y2s, 2, f), f, h, h_tilde, t)[..., 0, :]
+    yf = _unfolded_yf(y2s, 2, f)
+    return _matched_filter(yf, f, h, 2, h_tilde, "h_tilde", t)[..., 0, :]
 
 
 def oracle_weights(h: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,8 +177,9 @@ def data_aided_estimate(
     m_tilde, h_tilde = oracle_weights(h_true, m_true)
     x = build_rank_one(s_true, m_true)
     yf = contract_training(y, f)
-    h_hat = _channel_filter(yf, f, x, m_tilde, _symbol_energy(x, m_tilde))
-    split = split_and_anchor(_symbol_filter(yf, f, h_true, h_tilde), s_true[..., 0])
+    h_hat = _matched_filter(yf, f, x, 1, m_tilde, "m_tilde", _symbol_energy(x, m_tilde))
+    x_hat = _matched_filter(yf, f, h_true, 2, h_tilde, "h_tilde")
+    split = split_and_anchor(x_hat, s_true[..., 0])
     return EstimateReport(
         h_hat, split.m_hat, split.s_hat, rank1_degenerate=split.degenerate
     )
@@ -205,6 +200,7 @@ def pilot_aided_estimate(
     # pilot_aided_m checks the pilots, whose squared norm is then T.
     m_hat = pilot_aided_m(unfold_mode2(y), f, h_true, h_tilde, pilots)
     x = build_rank_one(pilots, m_true)
-    h_hat = _channel_filter(contract_training(y, f), f, x, m_tilde, pilots.shape[-1])
+    yf = contract_training(y, f)
+    h_hat = _matched_filter(yf, f, x, 1, m_tilde, "m_tilde", pilots.shape[-1])
     return EstimateReport(h_hat, m_hat, pilots)
 

@@ -32,20 +32,17 @@ def _fail(category: str, detail: str, code: int) -> int:
     return code
 
 
-def _apply_overrides(cfg, args):
-    """``cfg`` with the command line's overrides; each command validates the
-    result (every sweep point, for ``sweep``)."""
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
+def _load(args) -> tuple:
+    """The config file and its sweep grids, with the command line's
+    overrides applied before the config is checked."""
+    overrides = {} if args.seed is None else {"seed": args.seed}
     if args.noiseless:
-        updates["noiseless"] = True
-    return dataclasses.replace(cfg, **updates)
+        overrides["noiseless"] = True
+    return load_config_file(args.config, **overrides)
 
 
 def _cmd_run(args) -> int:
-    cfg, _ = load_config_file(args.config)
-    cfg = _apply_overrides(cfg, args)
+    cfg, _ = _load(args)
     for warning in validate_config(cfg):
         print(f"warning: {warning}", file=sys.stderr)
     rows = run_campaign(cfg, out_dir=args.out)
@@ -60,8 +57,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    cfg, sweeps = load_config_file(args.config)
-    cfg = _apply_overrides(cfg, args)
+    cfg, sweeps = _load(args)
     warnings = validate_config(cfg)
     for tag, _, point_warnings in _sweep_points(cfg, sweeps):
         warnings += [f"{tag}: {warning}" for warning in point_warnings]
@@ -98,8 +94,7 @@ def _sweep_points(cfg, sweeps) -> list:
 
 
 def _cmd_sweep(args) -> int:
-    cfg, sweeps = load_config_file(args.config)
-    cfg = _apply_overrides(cfg, args)
+    cfg, sweeps = _load(args)
     if not sweeps:
         return _fail(
             "config", "sweep requires at least one sweep_<field> key", EXIT_CONFIG

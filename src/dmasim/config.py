@@ -148,14 +148,16 @@ def parse_config_text(text: str) -> tuple[dict, dict]:
     return values, sweeps
 
 
-def load_config_file(path: str) -> tuple[ExperimentConfig, dict]:
+def load_config_file(path: str, **overrides) -> tuple[ExperimentConfig, dict]:
+    """The file's config, with ``overrides`` replacing its values before it
+    is checked, and its sweep grids."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     values, sweeps = parse_config_text(text)
-    cfg = ExperimentConfig(**values)
+    cfg = ExperimentConfig(**{**values, **overrides})
     validate_config(cfg)
     return cfg, sweeps
 

@@ -54,15 +54,21 @@ _CLOSED_FORM_SPANS = _PROPOSED_SPANS - {
 } | {"benchmarks.estimate", "benchmarks.matched_filter", "benchmarks.oracle_weights"}
 
 
+_WORKLOADS = [
+    ("desk-proposed", _PROPOSED_SPANS),
+    ("scaled-proposed", _PROPOSED_SPANS),
+    ("desk-closed-form", _CLOSED_FORM_SPANS),
+]
+
+
+# One trial per SNR point is a block of one; five fill one desk block of
+# five and scaled blocks of four and one.
 @pytest.mark.parametrize(
-    "workload, spans",
-    [
-        ("desk-proposed", _PROPOSED_SPANS),
-        ("scaled-proposed", _PROPOSED_SPANS),
-        ("desk-closed-form", _CLOSED_FORM_SPANS),
-    ],
+    "workload, spans, trials",
+    [pytest.param(w, s, 1, id=f"{w}-spans{i}") for i, (w, s) in enumerate(_WORKLOADS)]
+    + [pytest.param(w, s, 5, id=f"{w}-5-trials") for w, s in _WORKLOADS],
 )
-def test_traced_layers_stay_reached(child, workload, spans, tmp_path):
+def test_traced_layers_stay_reached(child, workload, spans, trials, tmp_path):
     # A refactor that stops calling a traced name zeroes its layer's metric
     # without failing anything else: every layer each workload reaches
     # must keep getting calls.
@@ -70,7 +76,7 @@ def test_traced_layers_stay_reached(child, workload, spans, tmp_path):
     for entry in child.SPANS:
         tracer.patch(*entry)
     try:
-        for i, cfg in enumerate(child.load_workload(workload, seed=0, trials=1)):
+        for i, cfg in enumerate(child.load_workload(workload, seed=0, trials=trials)):
             child.campaign.run_campaign(cfg, out_dir=str(tmp_path / str(i)))
     finally:
         tracer.restore()

@@ -102,6 +102,35 @@ def test_validate_prints_strict_json(tiny_config, capsys):
     assert report["snr_grid_db"] == [None]
 
 
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "key, line, flags, rows",
+    [("snr_grid_db", "snr_grid_db =", ["--noiseless"], 1),
+     ("seed", "seed = -1", ["--seed", "3"], 2)],
+    ids=["noiseless", "seed"],
+)
+def test_overrides_apply_before_the_config_is_checked(
+    command, key, line, flags, rows, tmp_path, capsys
+):
+    # The file alone is invalid (an empty grid for a noisy campaign, a
+    # negative seed); the flag makes it valid, as the same key in the file would.
+    text = "\n".join(
+        line if raw.startswith(f"{key} =") else raw for raw in TINY.splitlines()
+    )
+    path = tmp_path / "override.cfg"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    outs = ["--out", str(out)] if command == "run" else []
+    code = main([command, str(path), *flags, *outs])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    if command == "run":
+        csv = (out / "results.csv").read_text(encoding="utf-8")
+        assert len(csv.splitlines()) == 2 + rows  # meta + header + rows
+    else:
+        assert json.loads(captured.out)["config_ok"] is True
+
+
 @pytest.mark.parametrize("snr", ["4000", "-4000"])
 def test_run_rejects_snr_beyond_the_float_range(tmp_path, capsys, snr):
     # 10 ** (snr / 10) in add_noise overflows (or divides by zero) past

@@ -1,5 +1,6 @@
 """The summaries that ``scripts/record_bench.py`` writes, on synthetic runs."""
 
+import hashlib
 import importlib.util
 import os
 import sys
@@ -79,8 +80,12 @@ def test_record_lays_out_each_workload_with_one_environment(record_bench):
         calls.append(("cpu", workload, seed))
         return {"failed": 0, "metrics": {"cpu_trials_per_s": {"value": 10.0 + seed}}}
 
+    def reference():
+        calls.append(("reference",))
+        return {"csv_sha256": "8a74", "failed": 0}
+
     doc = record_bench.record({"end_to_end": END_TO_END}, ["a", "b"], [2, 3],
-                              run=run, trace=trace, cpu=cpu)
+                              run=run, trace=trace, cpu=cpu, reference=reference)
     assert doc["environment"] == _environment()
     assert record_bench.file_name(doc["environment"]) == "BENCH_0123456.json"
     assert list(doc["workloads"]) == ["a", "b"]
@@ -95,6 +100,9 @@ def test_record_lays_out_each_workload_with_one_environment(record_bench):
     }
     assert calls[:6] == [("trace", "a", 2), ("run", "a", 2), ("run", "a", 3),
                          ("cpu", "a", 2), ("cpu", "a", 2), ("cpu", "a", 3)]
+    # The reference campaign runs once, after every workload.
+    assert doc["reference"] == {"csv_sha256": "8a74", "failed": 0}
+    assert calls.count(("reference",)) == 1 and calls[-1] == ("reference",)
 
 
 def test_record_refuses_an_environment_that_changes(record_bench):
@@ -108,7 +116,8 @@ def test_record_refuses_an_environment_that_changes(record_bench):
         record_bench.record({"end_to_end": END_TO_END}, ["a", "b"], [0],
                             run=lambda w, s: _result(s), trace=trace,
                             cpu=lambda w, s: {"failed": 0, "metrics": {
-                                "cpu_trials_per_s": {"value": 1.0}}})
+                                "cpu_trials_per_s": {"value": 1.0}}},
+                            reference=lambda: {})
 
 
 def test_record_refuses_a_checkout_without_a_git_sha(record_bench):
@@ -117,4 +126,21 @@ def test_record_refuses_a_checkout_without_a_git_sha(record_bench):
 
     with pytest.raises(RuntimeError, match="no git sha"):
         record_bench.record({"end_to_end": END_TO_END}, ["a"], [0],
-                            run=None, trace=trace, cpu=None)
+                            run=None, trace=trace, cpu=None, reference=None)
+
+
+def test_the_reference_run_writes_the_timing_free_csv(record_bench, tmp_path):
+    # A small campaign stands in for configs/reference.cfg; its file asks
+    # for timing, which the run turns off.
+    from dmasim.campaign import render_csv, run_campaign
+    from dmasim.config import load_config_file
+
+    path = tmp_path / "small.cfg"
+    path.write_text("trials = 3\nsnr_grid_db = 0, 20\ntiming = true  # wall clock\n",
+                    encoding="utf-8")
+    result = record_bench.reference_runner(ROOT, str(path))()
+    cfg, _ = load_config_file(str(path), timing=False)
+    expected = render_csv(run_campaign(cfg), cfg).encode()
+    assert result["csv_sha256"] == hashlib.sha256(expected).hexdigest()
+    assert result["failed"] == 0
+    assert result["wall_s"] > 0 and result["cpu_s"] > 0 and result["peak_rss_mb"] > 0
